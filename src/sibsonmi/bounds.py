@@ -94,26 +94,27 @@ def bound_thm3(j: Joint3, e: EventMask, a) -> BoundReport:
     lhs = event_probability(j, e)
     if av > 1 and not absolutely_continuous(j, markov_product(j)):
         return _report(THM3, a, lhs, math.inf, vacuous=True, uninformative=uninformative)
-    _, reach, _, cx, cy = j.conditionals_given_z()
-    ess = 0.0
-    for z in np.flatnonzero(reach):
-        mass = float(np.outer(cx[z], cy[z])[e.mask[:, :, z]].sum())
-        ess = max(ess, mass)
+    ess = _max_product_mass(j, e)
     frac = (av - 1.0) / av
     rhs = ess**frac * math.exp(frac * cond_sibson_z(j, a).value_nats)
     return _report(THM3, a, lhs, rhs, uninformative=uninformative)
 
 
+def _max_product_mass(j: Joint3, e: EventMask) -> float:
+    """max over z of the mass P(x|z) P(y|z) puts on the slice E_z."""
+    _, _, _, cx, cy = j.conditionals_given_z()
+    prod = cx[:, :, None] * cy[:, None, :]  # all zero for unreachable z
+    where = np.moveaxis(e.mask, 2, 0)
+    return float(np.sum(prod, axis=(1, 2), where=where).max(initial=0.0))
+
+
 def _expected_slice_mass(j: Joint3, e: EventMask) -> float:
     """E_Z of the max over supported y of P_{X|Z}(E_{Z,y})."""
-    pz, reach, _, cx, cy = j.conditionals_given_z()
-    total = 0.0
-    for z in np.flatnonzero(reach):
-        best = 0.0
-        for y in np.flatnonzero(cy[z] > 0):
-            best = max(best, float(cx[z][e.mask[:, y, z]].sum()))
-        total += pz[z] * best
-    return total
+    pz, _, _, cx, cy = j.conditionals_given_z()
+    where = np.moveaxis(e.mask, 2, 0)
+    mass = np.sum(cx[:, :, None] * where, axis=1)  # (z, y)
+    best = np.where(cy > 0, mass, 0.0).max(axis=1, initial=0.0)
+    return float(np.sum(pz * best))
 
 
 def bound_thm1(j: Joint3, e: EventMask, a) -> BoundReport:
@@ -167,10 +168,7 @@ def bound_cor_sdpi(j4: Joint4, e: EventMask, a, eta: float) -> BoundReport:
     require_conformal(e, wyz)
     av = a.value
     lhs = event_probability(wyz, e)
-    _, reach, _, cw, cy = wyz.conditionals_given_z()
-    ess = 0.0
-    for z in np.flatnonzero(reach):
-        ess = max(ess, float(np.outer(cw[z], cy[z])[e.mask[:, :, z]].sum()))
+    ess = _max_product_mass(wyz, e)
     frac = (av - 1.0) / av
     i_wx = cond_sibson_z(j4.marginal_wxz(), a).value_nats
     rhs = ess**frac * eta ** (1.0 / av) * math.exp(frac * i_wx)

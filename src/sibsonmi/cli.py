@@ -75,8 +75,8 @@ LOAD_MASS_TOL = 1e-9
 def load_joint(path: str) -> Joint3:
     """Read and validate a distribution file.
 
-    Negative entries and total mass off 1 by more than 1e-9 are
-    rejected; smaller deviations are renormalised away.
+    Non-finite and negative entries and total mass off 1 by more than
+    1e-9 are rejected; smaller deviations are renormalised away.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -113,6 +113,12 @@ def load_joint(path: str) -> Joint3:
             f"{path}: probs has {len(probs)} entries, expected {nx * ny * nz}"
         )
     arr = np.asarray(probs, dtype=float)
+    finite = np.isfinite(arr)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise InputFormatError(
+            f"{path}: non-finite entry {float(arr[i])!r} at flat index {i}"
+        )
     if np.any(arr < 0):
         i = int(np.argmin(arr))
         raise InputFormatError(
@@ -565,28 +571,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    needs_input = args.command != "selftest"
-    if needs_input and not args.input:
-        print(
-            json.dumps({"error": "ValidationError", "message": "--input is required"}),
-            file=sys.stderr,
-        )
-        return 2
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        alphas=_parse_alpha_list(args.alpha),
-        event=args.event,
-        thm=args.thm if args.command == "bound" else None,
-        seed=args.seed,
-        grid_step=args.grid_step,
-        budget=args.budget,
-        n=args.n,
-        tau=args.tau,
-        claimed_rate=args.claimed_rate,
-        output=args.output,
-    )
     try:
+        if args.command != "selftest" and not args.input:
+            raise ValidationError("--input is required")
+        config = RunConfig(
+            command=args.command,
+            input_path=args.input,
+            alphas=_parse_alpha_list(args.alpha),
+            event=args.event,
+            thm=args.thm if args.command == "bound" else None,
+            seed=args.seed,
+            grid_step=args.grid_step,
+            budget=args.budget,
+            n=args.n,
+            tau=args.tau,
+            claimed_rate=args.claimed_rate,
+            output=args.output,
+        )
         return run(config)
     except SibsonmiError as exc:
         print(

@@ -60,7 +60,17 @@ def _check_labels(labels, name: str) -> tuple:
     return labels
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        idx = tuple(np.argwhere(bad)[0].tolist())
+        raise ValidationError(
+            f"{what} has a non-finite entry {idx} = {float(values[idx])!r}"
+        )
+
+
 def _check_mass(probs: np.ndarray, what: str, tol: float = MASS_TOL) -> None:
+    _check_finite(probs, what)
     if np.any(probs < 0):
         idx = np.unravel_index(int(np.argmin(probs)), probs.shape)
         raise ValidationError(
@@ -116,20 +126,22 @@ class Alpha:
 
     @classmethod
     def coerce(cls, a) -> "Alpha":
-        """Accept an Alpha, a number, or the strings 'one' / 'inf'.
+        """Accept an Alpha, a number, or a string: a number, 'one' or 'inf'.
 
         The exact float 1.0 maps to ``Alpha.ONE`` so that grids spanning
-        (0, 1] can be passed directly.
+        (0, 1] can be passed directly; a string means what its number
+        means, so "1.0" is ``Alpha.ONE`` too.
         """
         if isinstance(a, Alpha):
             return a
         if isinstance(a, str):
             key = a.strip().lower()
-            if key in ("one", "1"):
-                return cls.ONE
-            if key in ("inf", "infinity", "oo"):
-                return cls.INFINITY
-            return cls(float(key))
+            try:
+                a = float({"one": 1.0, "oo": math.inf}.get(key, key))
+            except ValueError:
+                raise ValidationError(
+                    f"order must be a number, 'one' or 'inf', got {a!r}"
+                ) from None
         v = float(a)
         if v == 1.0:
             return cls.ONE
@@ -237,23 +249,11 @@ class Joint2:
     def kernel_y_given_x(self) -> "Kernel":
         return _rows_to_kernel(self.x_labels, self.y_labels, self.probs)
 
-    def kernel_x_given_y(self) -> "Kernel":
-        return _rows_to_kernel(self.y_labels, self.x_labels, self.probs.T)
-
     def swap_xy(self) -> "Joint2":
         return Joint2(self.y_labels, self.x_labels, self.probs.T)
 
     def __repr__(self) -> str:
         return f"Joint2(shape={self.shape})"
-
-
-def joint2_from(px: Pmf, channel: "Kernel") -> Joint2:
-    """Assemble the joint of an input pmf and a conditional kernel."""
-    if channel.in_labels != px.labels:
-        raise ShapeMismatchError("kernel input alphabet does not match pmf")
-    if np.any((px.probs > 0) & ~channel.reachable):
-        raise ValidationError("pmf puts mass on an unreachable kernel row")
-    return Joint2(px.labels, channel.out_labels, px.probs[:, None] * channel.rows)
 
 
 class Kernel:
@@ -280,6 +280,7 @@ class Kernel:
             reach = np.array(reachable, dtype=bool)
             if reach.shape != (len(self.in_labels),):
                 raise ShapeMismatchError("reachable flag has wrong length")
+        _check_finite(r, "kernel")
         if np.any(r < 0):
             raise ValidationError("kernel rows must be nonnegative")
         sums = r.sum(axis=1)
@@ -336,10 +337,45 @@ def _rows_to_kernel(in_labels, out_labels, mass: np.ndarray) -> Kernel:
     return Kernel(in_labels, out_labels, rows, reach)
 
 
+def _log(a: np.ndarray, fill: float = -math.inf) -> np.ndarray:
+    """Elementwise log of the positive entries, ``fill`` elsewhere."""
+    out = np.full(a.shape, fill)
+    pos = a > 0
+    out[pos] = np.log(a[pos])
+    return out
+
+
+class _GivenZ:
+    """Read-only conditional structure of a joint given each z symbol.
+
+    The arrays of ``Joint3.conditionals_given_z`` plus their logs.  Zero
+    masses have ``lpz`` and ``lcxy`` -inf but ``lcx`` and ``lcy`` 0, so
+    a term weighting ``lcxy`` by a positive order is -inf off the
+    support of P(.,.|z) and never NaN.
+    """
+
+    __slots__ = ("pz", "reach", "cxy", "cx", "cy", "lpz", "lcxy", "lcx", "lcy")
+
+    def __init__(self, probs: np.ndarray):
+        pz = probs.sum(axis=(0, 1))
+        reach = pz > 0
+        nx, ny, nz = probs.shape
+        cxy = np.zeros((nz, nx, ny))
+        np.divide(np.moveaxis(probs, 2, 0), pz[:, None, None], out=cxy,
+                  where=reach[:, None, None])
+        cx = cxy.sum(axis=2)
+        cy = cxy.sum(axis=1)
+        self.pz, self.reach, self.cxy, self.cx, self.cy = pz, reach, cxy, cx, cy
+        self.lpz, self.lcxy = _log(pz), _log(cxy)
+        self.lcx, self.lcy = _log(cx, 0.0), _log(cy, 0.0)
+        for name in self.__slots__:
+            getattr(self, name).flags.writeable = False
+
+
 class Joint3:
     """Joint pmf over X x Y x Z, the carrier of every conditional measure."""
 
-    __slots__ = ("x_labels", "y_labels", "z_labels", "probs")
+    __slots__ = ("x_labels", "y_labels", "z_labels", "probs", "_given_z")
 
     def __init__(self, x_labels, y_labels, z_labels, probs):
         self.x_labels = _check_labels(x_labels, "x_labels")
@@ -354,6 +390,7 @@ class Joint3:
         _check_mass(p, "joint pmf")
         p.flags.writeable = False
         self.probs = p
+        self._given_z = None
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -392,25 +429,22 @@ class Joint3:
             np.transpose(self.probs, (1, 0, 2)),
         )
 
+    def _z_structure(self) -> _GivenZ:
+        """The conditional structure given z, built once per joint."""
+        if self._given_z is None:
+            self._given_z = _GivenZ(self.probs)
+        return self._given_z
+
     def conditionals_given_z(self):
         """Per-z conditional structure used throughout the measures.
 
         Returns ``(pz, reach, cxy, cx, cy)`` where ``cxy[z]`` is the
         conditional joint over (x, y) given z, ``cx``/``cy`` its
-        marginals, and unreachable z have all-zero slices.
+        marginals, and unreachable z have all-zero slices.  The arrays
+        are read-only and shared by every call on this joint.
         """
-        pz = self.probs.sum(axis=(0, 1))
-        reach = pz > 0
-        nz = self.probs.shape[2]
-        cxy = np.zeros(
-            (nz, self.probs.shape[0], self.probs.shape[1]), dtype=float
-        )
-        for k in range(nz):
-            if reach[k]:
-                cxy[k] = self.probs[:, :, k] / pz[k]
-        cx = cxy.sum(axis=2)
-        cy = cxy.sum(axis=1)
-        return pz, reach, cxy, cx, cy
+        s = self._z_structure()
+        return s.pz, s.reach, s.cxy, s.cx, s.cy
 
     def __repr__(self) -> str:
         return f"Joint3(shape={self.shape})"

@@ -14,12 +14,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import Alpha
 from .errors import PreconditionError, ShapeMismatchError, ValidationError
 
 _NEG_CLAMP = 1e-12
+
+
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) along ``axis`` with max subtraction.
+
+    A non-finite max is replaced by 0 before subtracting, so all -inf
+    input gives -inf and any +inf entry gives +inf instead of NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    top = a.max(axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    e = a - top
+    np.exp(e, out=e)
+    with np.errstate(divide="ignore"):
+        out = np.log(e.sum(axis=axis, keepdims=True)) + top
+    return out.squeeze(axis) if axis is not None else float(out.reshape(()))
 
 
 def _flat(measure) -> np.ndarray:
@@ -82,7 +97,7 @@ def renyi_divergence(p, q, a) -> float:
         # disjoint supports, reachable only for orders below 1
         return math.inf
     t = av * np.log(pa[both]) + (1.0 - av) * np.log(qa[both])
-    return _clamp(float(logsumexp(t)) / (av - 1.0))
+    return _clamp(_logsumexp(t) / (av - 1.0))
 
 
 def kl_divergence(p, q) -> float:
@@ -110,7 +125,7 @@ def hellinger_integral(p, q, a) -> float:
     if not np.any(both):
         return 0.0
     t = av * np.log(pa[both]) + (1.0 - av) * np.log(qa[both])
-    lse = float(logsumexp(t))
+    lse = _logsumexp(t)
     try:
         return math.exp(lse)
     except OverflowError:

@@ -57,15 +57,11 @@ def threshold_test(j: Joint3, tau: float, n: int) -> ThresholdTest:
     """Build the Q_Z-free log-ratio test for a joint."""
     if n < 1:
         raise ValidationError(f"sample length must be >= 1, got {n}")
-    _, reach, cxy, cx, cy = j.conditionals_given_z()
-    nx, ny, nz = j.shape
-    scores = np.full((nx, ny, nz), -math.inf)
-    for z in np.flatnonzero(reach):
-        pos = cxy[z] > 0
-        denom = np.outer(cx[z], cy[z])
-        s = np.full((nx, ny), -math.inf)
-        s[pos] = np.log(cxy[z][pos] / denom[pos])
-        scores[:, :, z] = s
+    _, _, cxy, cx, cy = j.conditionals_given_z()
+    pos = cxy > 0
+    by_z = np.full(cxy.shape, -math.inf)
+    by_z[pos] = np.log(cxy[pos] / (cx[:, :, None] * cy[:, None, :])[pos])
+    scores = np.ascontiguousarray(np.moveaxis(by_z, 0, 2))
     scores.flags.writeable = False
     return ThresholdTest(scores=scores, tau=float(tau), n=int(n))
 
@@ -138,8 +134,7 @@ def _mass_below(dist: dict[int, float], threshold: float) -> float:
 
 def _qz_grid(j: Joint3, step: float):
     """Grid over the reachable-z simplex, embedded, plus the point P_Z."""
-    pz = j.probs.sum(axis=(0, 1))
-    reach = pz > 0
+    pz, reach, _, _, _ = j.conditionals_given_z()
     idx = np.flatnonzero(reach)
     grid_r = simplex_grid(len(idx), step)
     grid = np.zeros((grid_r.shape[0] + 1, j.shape[2]))
@@ -329,6 +324,26 @@ def _structurally_silent(test: ThresholdTest) -> bool:
     return finite.size == 0 or float(finite.max()) < test.tau
 
 
+def _certify_premise(test: ThresholdTest, grid_rate: float, claimed_rate):
+    """The claimed type-2 rate and whether the grid certifies it.
+
+    Without a claim, the claim is the grid rate minus the margin, or
+    +inf when the grid rate is infinite.  A structurally silent test is
+    always certified; an infinite grid rate without that proof never
+    is, since exact zeros on the grid do not extrapolate off it.
+    """
+    silent = _structurally_silent(test)
+    if claimed_rate is not None:
+        claimed = float(claimed_rate)
+    elif silent or math.isinf(grid_rate):
+        claimed = math.inf
+    else:
+        claimed = grid_rate - RATE_MARGIN
+    if silent or math.isinf(grid_rate):
+        return claimed, silent
+    return claimed, claimed > 0 and grid_rate >= claimed + RATE_MARGIN - 1e-15
+
+
 def theorem6_check(
     j: Joint3,
     test: ThresholdTest,
@@ -351,22 +366,7 @@ def theorem6_check(
         raise ValidationError("the decay bound needs an order above 1")
     er = exact_errors(j, test, qz_grid_step=qz_grid_step)
     grid_rate = er.rate_R
-    silent = _structurally_silent(test)
-    if claimed_rate is None:
-        if silent:
-            claimed = math.inf
-        elif math.isinf(grid_rate):
-            claimed = math.inf  # grid says 0 everywhere but no structural proof
-        else:
-            claimed = grid_rate - RATE_MARGIN
-    else:
-        claimed = float(claimed_rate)
-    if silent:
-        certified = True
-    elif math.isinf(grid_rate):
-        certified = False  # cannot extrapolate exact zeros off the grid
-    else:
-        certified = claimed > 0 and grid_rate >= claimed + RATE_MARGIN - 1e-15
+    claimed, certified = _certify_premise(test, grid_rate, claimed_rate)
     i_z = cond_sibson_z(j, a).value_nats
     frac = _alpha_frac(a)
     lhs = 1.0 - er.p1
@@ -437,20 +437,7 @@ def exponent_sweep(
     for n in n_grid:
         t_n = replace(test, n=int(n))
         er = exact_errors(j, t_n, qz_grid_step=qz_grid_step)
-        silent = _structurally_silent(t_n)
-        if claimed_rate is None:
-            if silent or math.isinf(er.rate_R):
-                claimed = math.inf
-            else:
-                claimed = er.rate_R - RATE_MARGIN
-        else:
-            claimed = float(claimed_rate)
-        if silent:
-            certified = True
-        elif math.isinf(er.rate_R):
-            certified = False
-        else:
-            certified = claimed > 0 and er.rate_R >= claimed + RATE_MARGIN - 1e-15
+        claimed, certified = _certify_premise(t_n, er.rate_R, claimed_rate)
         lhs = 1.0 - er.p1
         empirical = -math.inf if lhs <= 0 else math.log(lhs) / n
         n_best = math.inf

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     Alpha,
@@ -25,9 +24,10 @@ from .core import (
     Joint3,
     Kernel,
     Pmf,
+    _log,
     tensor_power,
 )
-from .divergences import hellinger_integral, renyi_divergence
+from .divergences import _logsumexp, hellinger_integral, renyi_divergence
 from .errors import ValidationError
 from .oracles import min_weighted_radius
 
@@ -49,20 +49,13 @@ class MiReport:
     optimizer: Pmf | Kernel | None = None
 
 
-def _log(a: np.ndarray) -> np.ndarray:
-    out = np.full(a.shape, -math.inf)
-    pos = a > 0
-    out[pos] = np.log(a[pos])
-    return out
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    finite = logits[np.isfinite(logits)]
-    if finite.size == 0:
+    """exp(logits) normalised along the last axis; -inf gets weight 0."""
+    top = logits.max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(top)):
         raise ValidationError("cannot normalise an all-zero optimiser")
-    w = np.exp(logits - finite.max())
-    w[~np.isfinite(logits)] = 0.0
-    return w / w.sum()
+    w = np.exp(logits - top)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def shannon_mi(jxy: Joint2) -> float:
@@ -77,14 +70,10 @@ def shannon_mi(jxy: Joint2) -> float:
 
 def conditional_mi(j: Joint3) -> float:
     """Shannon conditional mutual information I(X;Y|Z), in nats."""
-    pz, reach, cxy, cx, cy = j.conditionals_given_z()
-    total = 0.0
-    for z in np.flatnonzero(reach):
-        p = cxy[z]
-        pos = p > 0
-        ratio = p[pos] / np.outer(cx[z], cy[z])[pos]
-        total += pz[z] * float(np.sum(p[pos] * np.log(ratio)))
-    return total
+    pz, _, cxy, cx, cy = j.conditionals_given_z()
+    prod = cx[:, :, None] * cy[:, None, :]
+    ratio = np.divide(cxy, prod, out=np.ones_like(prod), where=cxy > 0)
+    return float(np.sum(pz * np.sum(cxy * np.log(ratio), axis=(1, 2))))
 
 
 def sibson_mi(jxy: Joint2, a) -> MiReport:
@@ -111,8 +100,8 @@ def sibson_mi(jxy: Joint2, a) -> MiReport:
     sup = px > 0  # unsupported x rows carry no mass and no kernel row
     log_px = _log(px[sup])
     log_k = _log(p[sup]) - log_px[:, None]
-    log_b = logsumexp(log_px[:, None] + av * log_k, axis=0)
-    value = av / (av - 1.0) * float(logsumexp(log_b / av))
+    log_b = _logsumexp(log_px[:, None] + av * log_k, axis=0)
+    value = av / (av - 1.0) * _logsumexp(log_b / av)
     q = _softmax(log_b / av)
     return MiReport(a, value, UNCOND, Pmf(jxy.y_labels, q))
 
@@ -146,11 +135,6 @@ def info_radius(measures, weights, a, grid_step: float | None = None) -> float:
     return value
 
 
-def _cond_log_structs(j: Joint3):
-    pz, reach, cxy, cx, cy = j.conditionals_given_z()
-    return pz, reach, _log(cxy), _log(cx), _log(cy), cxy, cx, cy
-
-
 def cond_sibson_z(j: Joint3, a) -> MiReport:
     """Conditional Sibson information minimised over the Z marginal.
 
@@ -161,34 +145,25 @@ def cond_sibson_z(j: Joint3, a) -> MiReport:
     This variant is symmetric in X and Y.
     """
     a = Alpha.coerce(a)
-    pz, reach, lcxy, lcx, lcy, cxy, cx, cy = _cond_log_structs(j)
-    ridx = np.flatnonzero(reach)
+    s = j._z_structure()
     if a.is_one:
-        return MiReport(a, conditional_mi(j), COND_Z, Pmf(j.z_labels, pz))
+        return MiReport(a, conditional_mi(j), COND_Z, Pmf(j.z_labels, s.pz))
     if a.is_inf:
-        m = np.zeros(len(pz))
-        for z in ridx:
-            pos = cxy[z] > 0
-            m[z] = float(np.max(cxy[z][pos] / np.outer(cx[z], cy[z])[pos]))
-        value = float(np.log(np.dot(pz[ridx], m[ridx])))
-        q = pz * m
+        prod = s.cx[:, :, None] * s.cy[:, None, :]
+        ratio = np.divide(s.cxy, prod, out=np.zeros_like(prod), where=s.cxy > 0)
+        m = ratio.max(axis=(1, 2))
+        value = float(np.log(np.dot(s.pz, m)))
+        q = s.pz * m
         return MiReport(a, value, COND_Z, Pmf(j.z_labels, q / q.sum()))
     av = a.value
-    log_a_z = np.full(len(pz), -math.inf)
-    for z in ridx:
-        # cells off the support of P(.,.|z) contribute nothing; computing
-        # them would mix -inf logs of different signs into NaN
-        mask = cxy[z] > 0
-        with np.errstate(invalid="ignore"):
-            terms = av * lcxy[z] + (1.0 - av) * (
-                lcx[z][:, None] + lcy[z][None, :]
-            )
-        log_a_z[z] = float(logsumexp(terms[mask]))
-    lpz = _log(pz)
-    value = av / (av - 1.0) * float(logsumexp(lpz[ridx] + log_a_z[ridx] / av))
-    q = np.zeros(len(pz))
-    q[ridx] = _softmax(lpz[ridx] + log_a_z[ridx] / av)
-    return MiReport(a, value, COND_Z, Pmf(j.z_labels, q))
+    # cells off the support of P(.,.|z), and all of an unreachable z,
+    # are -inf through lcxy and drop out of the sums
+    terms = s.lcx[:, :, None] + s.lcy[:, None, :]
+    terms *= 1.0 - av
+    terms += av * s.lcxy
+    logits = s.lpz + _logsumexp(terms, axis=(1, 2)) / av
+    value = av / (av - 1.0) * _logsumexp(logits)
+    return MiReport(a, value, COND_Z, Pmf(j.z_labels, _softmax(logits)))
 
 
 def cond_sibson_ygz(j: Joint3, a) -> MiReport:
@@ -202,49 +177,34 @@ def cond_sibson_ygz(j: Joint3, a) -> MiReport:
     I(X;Y|Z) with minimiser P_{Y|Z}.
     """
     a = Alpha.coerce(a)
-    pz, reach, lcxy, lcx, _, cxy, cx, cy = _cond_log_structs(j)
-    ridx = np.flatnonzero(reach)
-    ny = j.shape[1]
+    s = j._z_structure()
     if a.is_one:
-        rows = np.zeros((len(pz), ny))
-        rows[ridx] = cy[ridx]
-        opt = Kernel(j.z_labels, j.y_labels, rows, reach)
+        opt = Kernel(j.z_labels, j.y_labels, s.cy, s.reach)
         return MiReport(a, conditional_mi(j), COND_YGZ, opt)
     if a.is_inf:
         value, rows = _cond_leakage_parts(j)
-        opt = Kernel(j.z_labels, j.y_labels, rows, reach)
+        opt = Kernel(j.z_labels, j.y_labels, rows, s.reach)
         return MiReport(a, value, COND_LEAKAGE, opt)
     av = a.value
-    lpz = _log(pz)
-    l_z = np.full(len(pz), -math.inf)
-    rows = np.zeros((len(pz), ny))
-    for z in ridx:
-        mask = cxy[z] > 0
-        with np.errstate(invalid="ignore"):
-            raw = av * lcxy[z] + (1.0 - av) * lcx[z][:, None]
-        raw = np.where(mask, raw, -math.inf)
-        log_b = logsumexp(raw, axis=0)
-        l_z[z] = av * float(logsumexp(log_b / av))
-        rows[z] = _softmax(log_b / av)
-    value = float(logsumexp(lpz[ridx] + l_z[ridx])) / (av - 1.0)
-    opt = Kernel(j.z_labels, j.y_labels, rows, reach)
+    log_b = _logsumexp(av * s.lcxy + (1.0 - av) * s.lcx[:, :, None], axis=1) / av
+    l_z = av * _logsumexp(log_b, axis=1)
+    value = _logsumexp(s.lpz + l_z) / (av - 1.0)
+    rows = np.zeros(log_b.shape)
+    rows[s.reach] = _softmax(log_b[s.reach])
+    opt = Kernel(j.z_labels, j.y_labels, rows, s.reach)
     return MiReport(a, value, COND_YGZ, opt)
 
 
 def _cond_leakage_parts(j: Joint3):
     """Per-z leakage sums and the rows attaining the sup-order minimum."""
-    pz, reach, cxy, cx, _ = j.conditionals_given_z()
-    nz, ny = j.shape[2], j.shape[1]
-    rows = np.zeros((nz, ny))
-    sums = np.zeros(nz)
-    for z in np.flatnonzero(reach):
-        sup = cx[z] > 0
-        ratios = cxy[z][sup] / cx[z][sup, None]  # P(y | x, z) on support
-        m = ratios.max(axis=0)
-        sums[z] = m.sum()
-        rows[z] = m / m.sum()
-    value = float(np.log(sums[reach].max()))
-    return value, rows
+    _, reach, cxy, cx, _ = j.conditionals_given_z()
+    sup = cx[:, :, None] > 0
+    # max over supported x of P(y | x, z); unsupported x rows read 0
+    m = np.divide(cxy, cx[:, :, None], out=np.zeros_like(cxy), where=sup).max(axis=1)
+    sums = m.sum(axis=1)
+    rows = np.zeros(m.shape)
+    rows[reach] = m[reach] / sums[reach, None]
+    return float(np.log(sums[reach].max())), rows
 
 
 def cond_maximal_leakage(j: Joint3) -> float:
@@ -283,8 +243,8 @@ def lmgf_representation(j: Joint3, a) -> tuple[float, float, float]:
         d_terms[k] = (av - 1.0) / av * d
         h_terms[k] = math.log(h) / av if h > 0 else -math.inf
     lpz = np.log(pz[ridx])
-    rhs1 = av / (av - 1.0) * float(logsumexp(lpz + d_terms))
-    rhs2 = av / (av - 1.0) * float(logsumexp(lpz + h_terms))
+    rhs1 = av / (av - 1.0) * _logsumexp(lpz + d_terms)
+    rhs2 = av / (av - 1.0) * _logsumexp(lpz + h_terms)
     return lhs, rhs1, rhs2
 
 

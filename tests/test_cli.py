@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from sibsonmi.cli import (
     run,
     save_joint,
 )
+import sibsonmi
 from sibsonmi.errors import EventSyntaxError, InputFormatError
 from sibsonmi.instances import reference_joint
 
@@ -69,6 +73,19 @@ class TestLoadJoint:
         doc["probs"][0] = -0.25
         with pytest.raises(InputFormatError, match="negative entry"):
             load_joint(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, tmp_path, bad):
+        doc = base_doc()
+        doc["probs"][1] = bad
+        with pytest.raises(InputFormatError, match="non-finite entry"):
+            load_joint(write_doc(tmp_path, doc))
+
+    def test_overflowing_literal_rejected(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(base_doc()).replace("0.125", "1e999", 1))
+        with pytest.raises(InputFormatError, match="non-finite entry inf"):
+            load_joint(str(path))
 
     def test_parse_error_has_location(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -248,6 +265,51 @@ class TestCommands:
         doc["probs"][0] = -1.0
         path = write_doc(tmp_path, doc)
         assert main(["measure", "--input", path, "--alpha", "2"]) == 2
+
+    def test_nan_file_is_error_record(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["probs"][0] = math.nan
+        path = write_doc(tmp_path, doc)
+        assert main(["measure", "--input", path, "--alpha", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "InputFormatError"
+
+    def test_bad_alpha_is_error_record(self, ref_path, capsys):
+        assert main(["measure", "--input", ref_path, "--alpha", "abc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ValidationError"
+        assert "abc" in record["message"]
+
+    def test_alpha_one_point_zero_is_order_one(self, ref_path, tmp_path):
+        outs = []
+        for spelling in ("1.0", "one"):
+            out = tmp_path / f"{spelling}.txt"
+            args = ["measure", "--input", ref_path, "--alpha", spelling]
+            assert main(args + ["--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_scipy_out():
+    code = (
+        "import sys, sibsonmi.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sibsonmi.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestReproducibility:

@@ -10,6 +10,7 @@ from sibsonmi.core import (
     EventMask,
     Joint2,
     Joint3,
+    Joint4,
     Kernel,
     Pmf,
     absolutely_continuous,
@@ -70,6 +71,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             ref.probs[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructors_reject_non_finite(self, bad):
+        cells = np.full((2, 2, 2), 0.125)
+        cells[1, 0, 1] = bad
+        builders = (
+            lambda: Pmf(("a", "b"), (bad, 1.0)),
+            lambda: Joint2(("0", "1"), ("0", "1"), cells[:, :, 1] * 2),
+            lambda: Joint3(("0", "1"), ("0", "1"), ("0", "1"), cells),
+            lambda: Joint4(("0",), ("0", "1"), ("0", "1"), ("0", "1"), cells[None]),
+            lambda: Kernel(("0", "1"), ("0", "1"), [[0.5, 0.5], [bad, 1.0]]),
+        )
+        for build in builders:
+            with pytest.raises(ValidationError, match="non-finite"):
+                build()
+
     def test_kernel_rows_must_be_stochastic(self):
         with pytest.raises(ValidationError):
             Kernel(("0",), ("0", "1"), [[0.5, 0.6]])
@@ -98,10 +114,48 @@ class TestAlpha:
         assert Alpha.coerce(math.inf) == Alpha.INFINITY
         assert Alpha.coerce(Alpha(3)).value == 3.0
         assert Alpha.coerce("2.5").value == 2.5
+        assert Alpha.coerce("1.0") is Alpha.ONE
+        assert Alpha.coerce("1") is Alpha.ONE
+        assert Alpha.coerce("Infinity") is Alpha.INFINITY
+
+    @pytest.mark.parametrize("bad", ["abc", "", "nan", "-inf", "0"])
+    def test_coerce_rejects_bad_strings(self, bad):
+        with pytest.raises(ValidationError):
+            Alpha.coerce(bad)
 
     def test_symbolic_flags(self):
         assert Alpha.ONE.is_one and not Alpha.ONE.is_finite
         assert Alpha.INFINITY.is_inf and not Alpha.INFINITY.is_finite
+
+
+class TestConditionalsGivenZ:
+    def test_arrays_read_only_and_shared(self, rng):
+        j = random_joint3(rng, (2, 3, 4))
+        first = j.conditionals_given_z()
+        second = j.conditionals_given_z()
+        for a, b in zip(first, second):
+            assert a is b
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_swap_xy_builds_its_own(self, rng):
+        j = random_joint3(rng, (2, 3, 4))
+        pz, reach, cxy, cx, cy = j.conditionals_given_z()
+        spz, sreach, scxy, scx, scy = j.swap_xy().conditionals_given_z()
+        assert scxy is not cxy
+        assert np.array_equal(scxy, np.transpose(cxy, (0, 2, 1)))
+        assert np.array_equal(scx, cy) and np.array_equal(scy, cx)
+        assert np.array_equal(spz, pz) and np.array_equal(sreach, reach)
+
+    def test_unreachable_z_has_zero_slices(self):
+        probs = np.zeros((2, 2, 3))
+        probs[:, :, 0] = 0.25
+        j = Joint3(("0", "1"), ("0", "1"), ("a", "b", "c"), probs)
+        pz, reach, cxy, cx, cy = j.conditionals_given_z()
+        assert reach.tolist() == [True, False, False]
+        assert not cxy[1:].any() and not cx[1:].any() and not cy[1:].any()
+        assert np.allclose(cxy[0], 0.25)
 
 
 class TestMarginal:

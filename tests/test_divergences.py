@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sibsonmi.core import Alpha
 from sibsonmi.divergences import (
+    _logsumexp,
     hellinger_integral,
     kl_divergence,
     renyi_divergence,
@@ -30,6 +31,39 @@ def integer_pmfs(draw, size):
         st.lists(st.integers(1, 60), min_size=size, max_size=size)
     )
     return np.asarray(weights, dtype=float) / sum(weights)
+
+
+def fsum_logsumexp(values) -> float:
+    top = max(values)
+    return top + math.log(math.fsum(math.exp(v - top) for v in values))
+
+
+class TestLogsumexp:
+    def test_all_neg_inf(self):
+        assert _logsumexp([-math.inf, -math.inf]) == -math.inf
+        rows = np.array([[-math.inf, -math.inf], [0.0, -math.inf]])
+        assert _logsumexp(rows, axis=1).tolist() == [-math.inf, 0.0]
+        assert _logsumexp(rows, axis=0).tolist() == [0.0, -math.inf]
+
+    def test_any_pos_inf(self):
+        assert _logsumexp([1.0, math.inf, -math.inf]) == math.inf
+        rows = np.array([[math.inf, 3.0], [-math.inf, 3.0]])
+        assert _logsumexp(rows, axis=1).tolist() == [math.inf, 3.0]
+
+    @pytest.mark.parametrize("centre", [-700.0, 0.0, 700.0])
+    def test_against_fsum(self, centre):
+        rng = np.random.default_rng(5)
+        a = centre + rng.uniform(-9.0, 9.0, size=(3, 5))
+        a[0, 2] = -math.inf
+        whole = _logsumexp(a)
+        assert isinstance(whole, float)
+        assert whole == pytest.approx(fsum_logsumexp(a.ravel().tolist()), rel=1e-14)
+        for axis in (0, 1):
+            got = _logsumexp(a, axis=axis)
+            lines = a.T if axis == 0 else a
+            assert got.shape == (a.shape[1 - axis],)
+            want = [fsum_logsumexp(line.tolist()) for line in lines]
+            assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestRenyi:

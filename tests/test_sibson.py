@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sibsonmi.core import Alpha, Joint2, Pmf
+from sibsonmi.core import Alpha, Joint2, Joint3, Pmf
 from sibsonmi.divergences import renyi_divergence
 from sibsonmi.errors import ValidationError
 from sibsonmi.instances import (
@@ -210,6 +210,84 @@ class TestCondSibsonZ:
                         q2[k] += step
                         moved = renyi_divergence(j, product_measure_z(j, q2), a)
                         assert moved >= base - 1e-9
+
+
+def sparse_joint(rng):
+    """3x3x4 joint with an unreachable z, an unsupported x and a zero cell."""
+    probs = rng.random((3, 3, 4))
+    probs[:, :, 1] = 0.0
+    probs[0, :, 2] = 0.0
+    probs[1, 2, 0] = 0.0
+    labels = [tuple(map(str, range(n))) for n in probs.shape]
+    return Joint3(*labels, probs / probs.sum())
+
+
+def per_z_reference(j, av):
+    """Finite-order closed forms and minimisers, one z at a time, in
+    linear space: the reference for the vectorised log-space code."""
+    pz, reach, cxy, cx, cy = j.conditionals_given_z()
+    nz, nx, ny = len(pz), j.shape[0], j.shape[1]
+    q, l_z, rows = np.zeros(nz), np.zeros(nz), np.zeros((nz, ny))
+    for z in np.flatnonzero(reach):
+        pos = cxy[z] > 0
+        prod = np.outer(cx[z], cy[z])
+        q[z] = pz[z] * np.sum(cxy[z][pos] ** av * prod[pos] ** (1 - av)) ** (1 / av)
+        b = np.zeros((nx, ny))
+        b[pos] = cxy[z][pos] ** av * np.outer(cx[z], np.ones(ny))[pos] ** (1 - av)
+        b = b.sum(axis=0) ** (1 / av)
+        rows[z] = b / b.sum()
+        l_z[z] = b.sum() ** av
+    value_z = av / (av - 1) * math.log(q.sum())
+    value_ygz = math.log(np.dot(pz, l_z)) / (av - 1)
+    return value_z, q / q.sum(), value_ygz, rows
+
+
+class TestVectorisedOverZ:
+    @pytest.mark.parametrize("av", [0.3, 0.5, 2.0, 3.5])
+    def test_matches_per_z_reference(self, rng, av):
+        for j in [sparse_joint(rng), random_joint3(rng, (2, 3, 5), zero_cells=4)]:
+            value_z, q, value_ygz, rows = per_z_reference(j, av)
+            rep_z, rep_ygz = cond_sibson_z(j, av), cond_sibson_ygz(j, av)
+            assert rep_z.value_nats == pytest.approx(value_z, rel=1e-12)
+            assert rep_ygz.value_nats == pytest.approx(value_ygz, rel=1e-12)
+            assert np.allclose(rep_z.optimizer.probs, q, rtol=0, atol=1e-13)
+            assert np.allclose(rep_ygz.optimizer.rows, rows, rtol=0, atol=1e-13)
+
+    def test_limits_match_per_z_reference(self, rng):
+        j = sparse_joint(rng)
+        pz, reach, cxy, cx, cy = j.conditionals_given_z()
+        mi, sup_ratio, leak = 0.0, 0.0, -math.inf
+        for z in np.flatnonzero(reach):
+            pos = cxy[z] > 0
+            ratio = cxy[z][pos] / np.outer(cx[z], cy[z])[pos]
+            mi += pz[z] * np.sum(cxy[z][pos] * np.log(ratio))
+            sup_ratio += pz[z] * ratio.max()
+            sup = cx[z] > 0
+            best = (cxy[z][sup] / cx[z][sup, None]).max(axis=0)
+            leak = max(leak, math.log(best.sum()))
+        assert conditional_mi(j) == pytest.approx(mi, rel=1e-12)
+        inf_z = cond_sibson_z(j, Alpha.INFINITY).value_nats
+        assert inf_z == pytest.approx(math.log(sup_ratio), rel=1e-12)
+        assert cond_maximal_leakage(j) == pytest.approx(leak, rel=1e-12)
+        inf_ygz = cond_sibson_ygz(j, Alpha.INFINITY).value_nats
+        assert inf_ygz == pytest.approx(leak, rel=1e-12)
+
+    def test_cache_is_invisible(self, rng):
+        j = sparse_joint(rng)
+        orders = (0.5, 2.0, Alpha.ONE, Alpha.INFINITY)
+
+        def everything(joint):
+            out = [conditional_mi(joint), cond_maximal_leakage(joint)]
+            for a in orders:
+                rep_z, rep_ygz = cond_sibson_z(joint, a), cond_sibson_ygz(joint, a)
+                out += [rep_z.value_nats, rep_z.optimizer.probs.tolist()]
+                out += [rep_ygz.value_nats, rep_ygz.optimizer.rows.tolist()]
+            return out
+
+        cached = everything(j)
+        assert everything(j) == cached
+        fresh = Joint3(j.x_labels, j.y_labels, j.z_labels, j.probs)
+        assert everything(fresh) == cached
 
 
 class TestCondSibsonYgz:
