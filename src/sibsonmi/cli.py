@@ -438,7 +438,7 @@ def _cmd_simulate(config: RunConfig, rep: Report) -> int:
     if config.n is None or config.tau is None:
         raise ValidationError("the simulate command needs --n and --tau")
     test = threshold_test(j, config.tau, config.n)
-    step = config.grid_step or 0.01
+    step = 0.01 if config.grid_step is None else config.grid_step
     rep.columns = (
         "operation", "alpha", "p1", "p2_worst", "rate", "lhs", "rhs",
         "certified", "halfwidth", "pass",

@@ -5,16 +5,22 @@ against iid triples from Q_Z P(x|z) P(y|z) with Q_Z arbitrary
 The per-symbol statistic is log(P(x,y|z) / (P(x|z) P(y|z))): it is free
 of Q_Z, so one deterministic threshold test covers the whole composite
 alternative.  The test decides the alternative when the score sum falls
-below n tau.  Small n is handled exactly by convolving the quantised
-per-symbol score distribution; larger n by seeded Monte Carlo.  The
-worst-case type-2 rate is certified on a Q_Z grid (plus the point P_Z)
-over the reachable-z simplex; a grid can only over-state the rate, so
-the certified claim keeps an explicit 1e-3 margin below the grid
-minimum and everything is labelled per fixed n.
+below n tau.  Small n is exact by the method of types over z: given the
+z-type m of a sequence its score sum is free of Q_Z, so an error
+probability is sum_m Mult(n; m) prod_z Q_Z(z)^m_z g(m), with one tail
+table g per test from per-z convolution powers and one matrix product
+per Q_Z grid.  Score sums merge on a 1e-9 lattice but keep unquantised
+representatives, which decide their side of n tau.  Larger n is seeded
+Monte Carlo.  The worst-case type-2 rate is certified on a Q_Z grid
+(plus the point P_Z) over the reachable-z simplex; a grid can only
+over-state the rate, so the certified claim keeps a 1e-3 margin below
+the grid minimum, labelled per fixed n.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,6 +38,7 @@ from .sibson import cond_sibson_z
 
 SCORE_QUANT = 1e-9  # scores are pooled on this lattice before convolution
 STATE_CAP = 10**6
+_LOG_MULT_CAP = 700.0  # n log k >= log Mult(n; m); float max is e^709.78
 EXACT_DP = "EXACT_DP"
 MONTE_CARLO = "MONTE_CARLO"
 CHECK_TOL = 1e-9
@@ -57,6 +64,8 @@ def threshold_test(j: Joint3, tau: float, n: int) -> ThresholdTest:
     """Build the Q_Z-free log-ratio test for a joint."""
     if n < 1:
         raise ValidationError(f"sample length must be >= 1, got {n}")
+    if math.isnan(tau):
+        raise ValidationError("threshold tau must be a number or +-inf, got nan")
     _, _, cxy, cx, cy = j.conditionals_given_z()
     pos = cxy > 0
     by_z = np.full(cxy.shape, -math.inf)
@@ -86,50 +95,61 @@ class ErrorReport:
     seed: int | None = None
     p1_halfwidth: float = 0.0
     qz_table: tuple[QzRow, ...] = ()
+    tie_mass: float = 0.0  # exact path: mass within n SCORE_QUANT of n tau
 
 
-def _quantize(scores: np.ndarray) -> np.ndarray:
-    q = np.full(scores.shape, np.iinfo(np.int64).min, dtype=np.int64)
-    finite = np.isfinite(scores)
-    q[finite] = np.round(scores[finite] / SCORE_QUANT).astype(np.int64)
-    return q
+def _add(a, b, cap: int):
+    """Sum of two independent score sums; a lattice key's first state leads."""
+    if a[0].size * b[0].size > cap:
+        raise ResourceLimitError("score-sum tables exceeded the state cap")
+    keys = (a[0][:, None] + b[0]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = (a[1][:, None] + b[1]).ravel()[order][first]
+    mass = np.add.reduceat((a[2][:, None] * b[2]).reshape(-1, 2)[order], first)
+    return keys[first], sums, mass
 
 
-def _base_dist(flat_probs, flat_q, finite_mask):
-    """Pool a per-symbol distribution on the quantised score lattice.
+def _type_tails(j: Joint3, test: ThresholdTest, cap: int):
+    """The z-types m of n symbols and their tails g(m): alternative
+    P(x|z) P(y|z) mass at or above n tau and within n SCORE_QUANT of it,
+    null P(x,y|z) mass below n tau and within n SCORE_QUANT of it."""
+    if np.any((j.probs > 0) & ~np.isfinite(test.scores)):
+        raise ValidationError("null distribution puts mass off its own product support")
+    _, reach, cxy, cx, cy = j.conditionals_given_z()
+    n, k = test.n, int(np.count_nonzero(reach))
+    if math.comb(n + k - 1, k - 1) > cap or n * math.log(k) > _LOG_MULT_CAP:
+        raise ResourceLimitError(f"n={n} passes the {cap}-type or float-weight cap")
+    powers, budget = [], cap  # the power tables of all z share one cap
+    for z in np.flatnonzero(reach):
+        s = test.scores[:, :, z]
+        mass = np.stack([cxy[z], np.outer(cx[z], cy[z])], axis=-1)
+        cell = np.isfinite(s) & (mass > 0).any(axis=-1)
+        base = (np.round(s[cell] / SCORE_QUANT).astype(np.int64), s[cell], mass[cell])
+        table = [(np.zeros(1, np.int64), np.zeros(1), np.ones((1, 2)))]
+        for _ in range(n):
+            table.append(_add(table[-1], base, budget))
+            budget -= table[-1][0].size
+        powers.append(table)
+    combos = itertools.combinations_with_replacement(range(k), n)
+    types = np.array([np.bincount(c, minlength=k) for c in combos])
+    tails = np.empty((len(types), 4))
+    for t, m in enumerate(types):
+        parts = [powers[i][c] for i, c in enumerate(m) if c]
+        _, sums, mass = functools.reduce(lambda a, b: _add(a, b, cap), parts)
+        gap = sums - n * test.tau
+        tie = np.abs(gap) <= n * SCORE_QUANT
+        tails[t] = (mass[gap >= 0, 1].sum(), mass[tie, 1].sum(),
+                    mass[gap < 0, 0].sum(), mass[tie, 0].sum())
+    return types, tails
 
-    Returns ``(dict score->prob over finite scores, mass on -inf)``.
-    """
-    dist: dict[int, float] = {}
-    inf_mass = 0.0
-    for p, s, ok in zip(flat_probs, flat_q, finite_mask):
-        if p <= 0:
-            continue
-        if ok:
-            dist[int(s)] = dist.get(int(s), 0.0) + float(p)
-        else:
-            inf_mass += float(p)
-    return dist, inf_mass
 
-
-def _convolve(base: dict[int, float], n: int, cap: int = STATE_CAP):
-    dist = {0: 1.0}
-    for _ in range(n):
-        nxt: dict[int, float] = {}
-        for s1, p1 in dist.items():
-            for s2, p2 in base.items():
-                key = s1 + s2
-                nxt[key] = nxt.get(key, 0.0) + p1 * p2
-        if len(nxt) > cap:
-            raise ResourceLimitError(
-                f"score-sum support exceeded the {cap}-state cap"
-            )
-        dist = nxt
-    return dist
-
-
-def _mass_below(dist: dict[int, float], threshold: float) -> float:
-    return sum(p for s, p in dist.items() if s * SCORE_QUANT < threshold)
+def _type_weights(qz: np.ndarray, types: np.ndarray) -> np.ndarray:
+    """Mult(n; m) prod_z qz(z)^m_z for every row of qz and every type m."""
+    fact = [math.factorial(c) for c in range(int(types[0].sum()) + 1)]
+    mult = [fact[-1] // math.prod(fact[c] for c in m) for m in types.tolist()]
+    return np.array(mult, dtype=float) * np.prod(qz[:, None, :] ** types, axis=2)
 
 
 def _qz_grid(j: Joint3, step: float):
@@ -143,13 +163,11 @@ def _qz_grid(j: Joint3, step: float):
     return grid
 
 
-def _alt_flat(j: Joint3, qz: np.ndarray) -> np.ndarray:
-    _, reach, _, cx, cy = j.conditionals_given_z()
-    if np.any((qz > 0) & ~reach):
+def _check_reach(j: Joint3, qz: np.ndarray) -> None:
+    if np.any((qz > 0) & ~j.conditionals_given_z()[1]):
         raise ValidationError(
             "alternative weights a z symbol with no conditional structure"
         )
-    return np.einsum("zx,zy,z->xyz", cx, cy, qz).ravel()
 
 
 def _check_test(j: Joint3, test: ThresholdTest) -> None:
@@ -163,60 +181,45 @@ def exact_errors(
     qz_grid_step: float = 0.01,
     state_cap: int = STATE_CAP,
 ) -> ErrorReport:
-    """Exact error probabilities by convolution over quantised scores.
+    """Exact error probabilities by the method of types over z.
 
-    ``p1`` is the null mass of score sums below n tau; for every grid
-    alternative the type-2 error is its mass at or above n tau (any
+    ``p1`` is the null mass of score sums below n tau, at Q_Z = P_Z; each
+    grid row's type-2 error is the alternative mass at or above n tau (a
     symbol off the null support scores -inf and is always rejected).
-    ``rate_R`` is the grid minimum of -(1/n) log type2.
+    ``rate_R`` is the grid minimum of -(1/n) log type2.  ``tie_mass`` is
+    the largest mass, null or any row, within n SCORE_QUANT of n tau.
+    ``state_cap`` bounds the z-types, the per-z power tables together and
+    each sum table, checked before allocating; past it ResourceLimitError.
     """
     _check_test(j, test)
     n, tau = test.n, test.tau
-    flat_p = j.probs.ravel()
-    q = _quantize(test.scores).ravel()
-    finite = np.isfinite(test.scores).ravel()
-    if tau == -math.inf:
-        null_below = 0.0
-    elif tau == math.inf:
-        null_below = 1.0
+    typed = None if math.isinf(tau) else _type_tails(j, test, state_cap)
+    grid = _qz_grid(j, qz_grid_step)
+    _check_reach(j, grid)
+    if typed is None:
+        p1, tie_mass = float(tau > 0), 0.0
+        type2 = np.full(len(grid), 1.0 - p1)
     else:
-        base_null, null_inf = _base_dist(flat_p, q, finite)
-        if null_inf > 0:
-            raise ValidationError(
-                "null distribution puts mass off its own product support"
-            )
-        null_dist = _convolve(base_null, n, state_cap)
-        null_below = _mass_below(null_dist, n * tau)
+        types, tails = typed
+        qz = grid[:, j.conditionals_given_z()[1]]
+        cols = max(1, state_cap // qz.size)
+        out = sum(_type_weights(qz, types[s : s + cols]) @ tails[s : s + cols]
+                  for s in range(0, len(types), cols))
+        # P_Z is the last grid row
+        p1, tie_mass = min(out[-1, 2], 1.0), max(out[:, 1].max(), out[-1, 3])
+        type2 = np.clip(out[:, 0], 0.0, 1.0)
     rows = []
-    for qz in _qz_grid(j, qz_grid_step):
-        flat_alt = _alt_flat(j, qz)
-        if tau == -math.inf:
-            type2 = 1.0
-        elif tau == math.inf:
-            type2 = 0.0
-        else:
-            # sequences containing a -inf score sum to -inf < n tau and
-            # are always rejected, so only the defective finite part of
-            # the n-fold convolution can sit at or above the threshold
-            base_alt, _ = _base_dist(flat_alt, q, finite)
-            alt_dist = _convolve(base_alt, n, state_cap)
-            finite_mass = sum(alt_dist.values())
-            type2 = finite_mass - _mass_below(alt_dist, n * tau)
-            type2 = min(max(type2, 0.0), 1.0)
-        rate = 0.0 if type2 >= 1.0 else (
-            math.inf if type2 <= 0 else -math.log(type2) / n
-        )
-        rows.append(QzRow(qz=tuple(float(v) for v in qz), type2=type2, rate=rate))
-    p2_worst = max(r.type2 for r in rows)
-    rate_r = min(r.rate for r in rows)
+    for qz, t2 in zip(grid, type2.tolist()):
+        rate = 0.0 if t2 >= 1.0 else (math.inf if t2 <= 0 else -math.log(t2) / n)
+        rows.append(QzRow(qz=tuple(float(v) for v in qz), type2=t2, rate=rate))
     return ErrorReport(
-        p1=null_below,
-        p2_worst=p2_worst,
-        rate_R=rate_r,
+        p1=float(p1),
+        p2_worst=max(r.type2 for r in rows),
+        rate_R=min(r.rate for r in rows),
         method=EXACT_DP,
         n=n,
-        seed=None,
         qz_table=tuple(rows),
+        tie_mass=float(tie_mass),
     )
 
 
@@ -243,12 +246,9 @@ def monte_carlo_errors(
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     n, tau = test.n, test.tau
+    _, _, _, cx, cy = j.conditionals_given_z()
     rng = np.random.default_rng(seed)
-    values = np.where(
-        np.isfinite(test.scores).ravel(),
-        _quantize(test.scores).ravel() * SCORE_QUANT,
-        -math.inf,
-    )
+    values = np.where(np.isfinite(test.scores), test.scores, -math.inf).ravel()
     cells = values.shape[0]
 
     def sample_sums(flat_probs: np.ndarray) -> np.ndarray:
@@ -261,7 +261,8 @@ def monte_carlo_errors(
     rows = []
     for qz in qz_list:
         qz_arr = np.asarray(qz.probs if hasattr(qz, "probs") else qz, dtype=float)
-        alt_sums = sample_sums(_alt_flat(j, qz_arr))
+        _check_reach(j, qz_arr)
+        alt_sums = sample_sums(np.einsum("zx,zy,z->xyz", cx, cy, qz_arr).ravel())
         hits = int(np.count_nonzero(alt_sums >= n * tau))
         type2 = hits / trials
         rate = math.inf if type2 <= 0 else -math.log(type2) / n
@@ -273,12 +274,10 @@ def monte_carlo_errors(
                 halfwidth=_agresti_coull_halfwidth(hits, trials),
             )
         )
-    p2_worst = max((r.type2 for r in rows), default=0.0)
-    rate_r = min((r.rate for r in rows), default=math.inf)
     return ErrorReport(
         p1=p1,
-        p2_worst=p2_worst,
-        rate_R=rate_r,
+        p2_worst=max((r.type2 for r in rows), default=0.0),
+        rate_R=min((r.rate for r in rows), default=math.inf),
         method=MONTE_CARLO,
         n=n,
         seed=seed,

@@ -33,6 +33,8 @@ def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
     """
     if dim < 1:
         raise ValidationError("simplex dimension must be at least 1")
+    if not 0 < step <= 1:
+        raise ValidationError(f"simplex grid step must lie in (0, 1], got {step}")
     m = max(1, round(1.0 / step))
     points = math.comb(m + dim - 1, dim - 1)
     if points > GRID_POINT_CAP:

@@ -285,6 +285,19 @@ class TestCommands:
         assert record["error"] == "ValidationError"
         assert "abc" in record["message"]
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--tau", "nan"), ("--grid-step", "0"),
+                        ("--grid-step", "nan"), ("--grid-step", "2")]
+    )
+    def test_bad_simulate_value_is_error_record(self, ref_path, capsys, flag, value):
+        args = ["simulate", "--input", ref_path, "--n", "2", "--tau", "0.5",
+                "--alpha", "2", flag, value]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "ValidationError"
+
     def test_alpha_one_point_zero_is_order_one(self, ref_path, tmp_path):
         outs = []
         for spelling in ("1.0", "one"):

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sibsonmi.core import Alpha, Joint3
 from sibsonmi.errors import (
@@ -12,6 +15,8 @@ from sibsonmi.errors import (
 from sibsonmi.hyptest import (
     EXACT_DP,
     MONTE_CARLO,
+    SCORE_QUANT,
+    _qz_grid,
     exact_errors,
     exponent_sweep,
     monte_carlo_errors,
@@ -22,6 +27,53 @@ from sibsonmi.instances import random_joint3, random_markov_joint, reference_joi
 from sibsonmi.sibson import additivity_check, cond_sibson_z
 
 LOG2 = math.log(2)
+TAUS = (-math.inf, 0.0, 0.25, 0.5, 0.7, math.inf)
+
+
+def _reference_exact(j, test, step=0.01):
+    """The dict convolution over all cells, once per grid row.
+
+    Decides sides of n tau on the quantised lattice, so it can differ
+    from the method of types only by mass inside the tie band.
+    """
+    n, tau = test.n, test.tau
+    finite = np.isfinite(test.scores).ravel()
+    q = np.zeros(finite.shape, dtype=np.int64)
+    q[finite] = np.round(test.scores.ravel()[finite] / SCORE_QUANT)
+
+    def base(flat):
+        dist = {}
+        for p, s, ok in zip(flat, q, finite):
+            if p > 0 and ok:
+                dist[int(s)] = dist.get(int(s), 0.0) + float(p)
+        return dist
+
+    def convolve(b):
+        dist = {0: 1.0}
+        for _ in range(n):
+            nxt = {}
+            for s1, p1 in dist.items():
+                for s2, p2 in b.items():
+                    nxt[s1 + s2] = nxt.get(s1 + s2, 0.0) + p1 * p2
+            dist = nxt
+        return dist
+
+    def below(dist):
+        return sum(p for s, p in dist.items() if s * SCORE_QUANT < n * tau)
+
+    if math.isinf(tau):
+        p1 = float(tau > 0)
+    else:
+        p1 = below(convolve(base(j.probs.ravel())))
+    _, _, _, cx, cy = j.conditionals_given_z()
+    type2 = []
+    for qz in _qz_grid(j, step):
+        if math.isinf(tau):
+            type2.append(float(tau < 0))
+            continue
+        alt = convolve(base(np.einsum("zx,zy,z->xyz", cx, cy, qz).ravel()))
+        type2.append(min(max(sum(alt.values()) - below(alt), 0.0), 1.0))
+    return p1, type2
 
 
 class TestThresholdTest:
@@ -41,6 +93,10 @@ class TestThresholdTest:
     def test_rejects_bad_n(self, ref):
         with pytest.raises(ValidationError):
             threshold_test(ref, 0.0, 0)
+
+    def test_rejects_nan_tau(self, ref):
+        with pytest.raises(ValidationError):
+            threshold_test(ref, math.nan, 2)
 
 
 class TestExactErrors:
@@ -92,14 +148,92 @@ class TestExactErrors:
             exact_errors(ref, threshold_test(ref, 0.5, 8), state_cap=3)
 
     def test_threshold_monotonicity(self, ref):
-        taus = (-math.inf, 0.0, 0.25, 0.5, 0.7, math.inf)
         p1s, p2s = [], []
-        for tau in taus:
+        for tau in TAUS:
             er = exact_errors(ref, threshold_test(ref, tau, 3))
             p1s.append(er.p1)
             p2s.append(er.p2_worst)
         assert all(b >= a - 1e-12 for a, b in zip(p1s, p1s[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(p2s, p2s[1:]))
+
+    def test_matches_dict_convolution(self):
+        rng = np.random.default_rng(7)
+        shapes = ((2, 2, 2), (2, 3, 2), (3, 2, 3))
+        for case in range(6):
+            j = random_joint3(rng, shapes[case % 3], zero_cells=case % 3)
+            if case == 5:  # z='1' unreachable
+                p = j.probs.copy()
+                p[:, :, 1] = 0.0
+                j = Joint3(j.x_labels, j.y_labels, j.z_labels, p / p.sum())
+            for n in (1, 2, 3, 4):
+                for tau in TAUS:
+                    t = threshold_test(j, tau, n)
+                    er = exact_errors(j, t, qz_grid_step=0.25)
+                    p1, type2 = _reference_exact(j, t, 0.25)
+                    assert er.tie_mass == 0.0
+                    assert abs(er.p1 - p1) <= 1e-12
+                    assert len(er.qz_table) == len(type2)
+                    for row, want in zip(er.qz_table, type2):
+                        assert abs(row.type2 - want) <= 1e-12
+
+    def test_exact_at_threshold(self, ref):
+        # each quantised log 2 overshoots by 4.4e-10, which used to put
+        # the all-diagonal sequences at or above n tau
+        tau = LOG2 + 4e-10
+        t = threshold_test(ref, tau, 3)
+        er = exact_errors(ref, t)
+        assert er.p1 == 1.0
+        assert er.tie_mass > 0
+        pz = ref.probs.sum(axis=(0, 1))
+        assert monte_carlo_errors(ref, t, [pz], 2000, seed=0).p1 == 1.0
+
+    def test_tie_mass_covers_alternatives(self, ref):
+        # at tau = 0 the null ties only on z='1' (mass 1/2), the
+        # alternative concentrated on z='1' always ties
+        assert exact_errors(ref, threshold_test(ref, 0.0, 1)).tie_mass == 1.0
+
+    @pytest.mark.parametrize("shape, n", [((2, 2, 3), 10**6), ((2, 2, 4), 200)])
+    def test_type_count_capped_before_allocating(self, shape, n):
+        # the second case stays inside the float range of the weights
+        j = random_joint3(np.random.default_rng(3), shape)
+        t = threshold_test(j, 0.5, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                exact_errors(j, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_power_tables_share_the_cap(self):
+        # one z with four distinct scores: every sum table of n=22 has at
+        # most 2024 * 4 pairs, but its 22 powers hold C(26, 4) - 1 = 14949
+        j = random_joint3(np.random.default_rng(5), (2, 2, 1))
+        with pytest.raises(ResourceLimitError):
+            exact_errors(j, threshold_test(j, 0.5, 22), state_cap=10**4)
+        exact_errors(j, threshold_test(j, 0.5, 17), state_cap=10**4)
+
+    def test_float_weight_cap(self, ref):
+        # 2^1100 bounds Mult(1100; m) but no float does
+        with pytest.raises(ResourceLimitError):
+            exact_errors(ref, threshold_test(ref, 0.5, 1100))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+def test_exact_errors_bounded_and_monotone_property(seed, n):
+    rng = np.random.default_rng(seed)
+    j = random_joint3(rng, (2, 2, 2), zero_cells=int(rng.integers(0, 3)))
+    p1s, p2s = [], []
+    for tau in TAUS:
+        er = exact_errors(j, threshold_test(j, tau, n), qz_grid_step=0.1)
+        values = [er.p1, er.p2_worst] + [r.type2 for r in er.qz_table]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        p1s.append(er.p1)
+        p2s.append(er.p2_worst)
+    assert all(b >= a - 1e-12 for a, b in zip(p1s, p1s[1:]))
+    assert all(b <= a + 1e-12 for a, b in zip(p2s, p2s[1:]))
 
 
 class TestMonteCarlo:

@@ -398,6 +398,11 @@ class TestOracleInternals:
             assert np.allclose(g.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(g >= 0)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, 2.0, math.nan, math.inf])
+    def test_simplex_grid_rejects_bad_step(self, step):
+        with pytest.raises(ValidationError):
+            simplex_grid(3, step)
+
     def test_grid_contains_vertices(self):
         g = simplex_grid(3, 0.1)
         for v in np.eye(3):
