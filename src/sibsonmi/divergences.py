@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alpha
+from .core import Alpha, _log
 from .errors import PreconditionError, ShapeMismatchError, ValidationError
 
 _NEG_CLAMP = 1e-12
@@ -25,16 +25,28 @@ def _logsumexp(a, axis=None):
     """log(sum(exp(a))) along ``axis`` with max subtraction.
 
     A non-finite max is replaced by 0 before subtracting, so all -inf
-    input gives -inf and any +inf entry gives +inf instead of NaN.
+    input, like an empty sum, gives -inf and any +inf entry gives +inf
+    instead of NaN.
     """
     a = np.asarray(a, dtype=float)
-    top = a.max(axis=axis, keepdims=True)
+    top = a.max(axis=axis, keepdims=True, initial=-math.inf)
     top[~np.isfinite(top)] = 0.0
     e = a - top
     np.exp(e, out=e)
     with np.errstate(divide="ignore"):
         out = np.log(e.sum(axis=axis, keepdims=True)) + top
     return out.squeeze(axis) if axis is not None else float(out.reshape(()))
+
+
+def _log_power_sum(lp, lq, av: float, axis=None):
+    """log sum p^a q^(1-a) from the logs of p and q, along ``axis``.
+
+    A term with lp = -inf drops out as long as lq is finite there.  A
+    term with lq = -inf against a finite lp is +inf above order 1 and
+    drops out below it, which is the domination convention.  The empty
+    sum is -inf.
+    """
+    return _logsumexp(av * lp + (1.0 - av) * lq, axis=axis)
 
 
 def _flat(measure) -> np.ndarray:
@@ -80,24 +92,16 @@ def renyi_divergence(p, q, a) -> float:
     if _equal_measures(pa, qa):
         return 0.0
     sup = pa > 0
+    if a.is_finite:
+        lps = _log_power_sum(np.log(pa[sup]), _log(qa[sup]), a.value)
+        # an empty sum means no common support: +inf for every order
+        return math.inf if lps == -math.inf else _clamp(lps / (a.value - 1.0))
+    if np.any(sup & (qa <= 0)):
+        return math.inf
+    ratio = pa[sup] / qa[sup]
     if a.is_one:
-        if np.any(sup & (qa <= 0)):
-            return math.inf
-        ps = pa[sup]
-        return _clamp(float(np.sum(ps * np.log(ps / qa[sup]))))
-    if a.is_inf:
-        if np.any(sup & (qa <= 0)):
-            return math.inf
-        return _clamp(float(np.log(np.max(pa[sup] / qa[sup]))))
-    av = a.value
-    if av > 1 and np.any(sup & (qa <= 0)):
-        return math.inf
-    both = sup & (qa > 0)
-    if not np.any(both):
-        # disjoint supports, reachable only for orders below 1
-        return math.inf
-    t = av * np.log(pa[both]) + (1.0 - av) * np.log(qa[both])
-    return _clamp(_logsumexp(t) / (av - 1.0))
+        return _clamp(float(np.sum(pa[sup] * np.log(ratio))))
+    return _clamp(float(np.log(np.max(ratio))))
 
 
 def kl_divergence(p, q) -> float:
@@ -117,17 +121,9 @@ def hellinger_integral(p, q, a) -> float:
     pa, qa = _pair(p, q)
     if _equal_measures(pa, qa):
         return 1.0
-    av = a.value
     sup = pa > 0
-    if av > 1 and np.any(sup & (qa <= 0)):
-        return math.inf
-    both = sup & (qa > 0)
-    if not np.any(both):
-        return 0.0
-    t = av * np.log(pa[both]) + (1.0 - av) * np.log(qa[both])
-    lse = _logsumexp(t)
     try:
-        return math.exp(lse)
+        return math.exp(_log_power_sum(np.log(pa[sup]), _log(qa[sup]), a.value))
     except OverflowError:
         return math.inf
 

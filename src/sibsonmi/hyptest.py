@@ -309,11 +309,21 @@ class Theorem6Report:
 
     @property
     def bound_exponent(self) -> float:
+        """-((a-1)/a) (R - I^Z); -inf for an infinite claim."""
+        if math.isinf(self.claimed_rate):
+            return -math.inf
         return -_alpha_frac(self.alpha) * (self.claimed_rate - self.i_alpha_z)
 
 
 def _alpha_frac(a: Alpha) -> float:
     return 1.0 if a.is_inf else (a.value - 1.0) / a.value
+
+
+def _order_above_one(a) -> Alpha:
+    a = Alpha.coerce(a)
+    if a.is_one or (a.is_finite and a.value <= 1.0):
+        raise ValidationError("the decay bound needs an order above 1")
+    return a
 
 
 def _structurally_silent(test: ThresholdTest) -> bool:
@@ -323,8 +333,10 @@ def _structurally_silent(test: ThresholdTest) -> bool:
     return finite.size == 0 or float(finite.max()) < test.tau
 
 
-def _certify_premise(test: ThresholdTest, grid_rate: float, claimed_rate):
-    """The claimed type-2 rate and whether the grid certifies it.
+def _decay_report(
+    test: ThresholdTest, a: Alpha, er: ErrorReport, i_z: float, claimed_rate
+) -> Theorem6Report:
+    """The decay bound at one order from the exact errors and I^Z.
 
     Without a claim, the claim is the grid rate minus the margin, or
     +inf when the grid rate is infinite.  A structurally silent test is
@@ -332,15 +344,32 @@ def _certify_premise(test: ThresholdTest, grid_rate: float, claimed_rate):
     is, since exact zeros on the grid do not extrapolate off it.
     """
     silent = _structurally_silent(test)
+    grid_rate = er.rate_R
+    unbounded = silent or math.isinf(grid_rate)
     if claimed_rate is not None:
         claimed = float(claimed_rate)
-    elif silent or math.isinf(grid_rate):
-        claimed = math.inf
     else:
-        claimed = grid_rate - RATE_MARGIN
-    if silent or math.isinf(grid_rate):
-        return claimed, silent
-    return claimed, claimed > 0 and grid_rate >= claimed + RATE_MARGIN - 1e-15
+        claimed = math.inf if unbounded else grid_rate - RATE_MARGIN
+    if unbounded:
+        certified = silent
+    else:
+        certified = claimed > 0 and grid_rate >= claimed + RATE_MARGIN - 1e-15
+    frac = _alpha_frac(a)
+    try:
+        rhs = 0.0 if math.isinf(claimed) else math.exp(-frac * test.n * (claimed - i_z))
+    except OverflowError:  # a claim far below I^Z: the bound is vacuous
+        rhs = math.inf
+    return Theorem6Report(
+        lhs=1.0 - er.p1,
+        rhs=rhs,
+        claimed_rate=claimed,
+        grid_rate=grid_rate,
+        certified=certified,
+        alpha=a,
+        n=test.n,
+        i_alpha_z=i_z,
+        exact=er,
+    )
 
 
 def theorem6_check(
@@ -360,33 +389,13 @@ def theorem6_check(
     the grid rate minus the margin.  Raises InequalityViolation if a
     certified check fails beyond 1e-9.
     """
-    a = Alpha.coerce(a)
-    if a.is_one or (a.is_finite and a.value <= 1.0):
-        raise ValidationError("the decay bound needs an order above 1")
+    a = _order_above_one(a)
     er = exact_errors(j, test, qz_grid_step=qz_grid_step)
-    grid_rate = er.rate_R
-    claimed, certified = _certify_premise(test, grid_rate, claimed_rate)
-    i_z = cond_sibson_z(j, a).value_nats
-    frac = _alpha_frac(a)
-    lhs = 1.0 - er.p1
-    if math.isinf(claimed):
-        rhs = 0.0
-    else:
-        rhs = math.exp(-frac * test.n * (claimed - i_z))
-    report = Theorem6Report(
-        lhs=lhs,
-        rhs=rhs,
-        claimed_rate=claimed,
-        grid_rate=grid_rate,
-        certified=certified,
-        alpha=a,
-        n=test.n,
-        i_alpha_z=i_z,
-        exact=er,
-    )
-    if certified and lhs > rhs + CHECK_TOL:
+    report = _decay_report(test, a, er, cond_sibson_z(j, a).value_nats, claimed_rate)
+    if report.certified and report.lhs > report.rhs + CHECK_TOL:
         raise InequalityViolation(
-            f"decay bound failed at n={test.n}, order {a}: {lhs!r} > {rhs!r}"
+            f"decay bound failed at n={test.n}, order {a}: "
+            f"{report.lhs!r} > {report.rhs!r}"
         )
     return report
 
@@ -405,12 +414,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     best_bound: tuple[tuple[int, float], ...]  # per n, min over the order grid
 
-    def row(self, n: int, a: Alpha) -> SweepRow:
-        for r in self.rows:
-            if r.n == n and r.alpha == a:
-                return r
-        raise KeyError((n, a))
-
 
 def exponent_sweep(
     j: Joint3,
@@ -422,36 +425,23 @@ def exponent_sweep(
 ) -> SweepResult:
     """Tabulate empirical decay exponents against the per-order bounds.
 
-    One exact-error computation per n; the order grid (finite > 1 and
-    the symbolic sup order are both allowed) then prices the bound
-    exponent -((a-1)/a)(R - I^Z).  ``best_bound`` optimises over the
-    grid for each n, so it is at most every single-order bound.
+    One exact-error computation per n and one I^Z per order; the order
+    grid (finite > 1 and the symbolic sup order are both allowed) then
+    prices the bound exponent -((a-1)/a)(R - I^Z) without asserting it.
+    ``best_bound`` optimises over the grid for each n, so it is at most
+    every single-order bound.
     """
-    alphas = [Alpha.coerce(a) for a in a_grid]
-    for a in alphas:
-        if a.is_one or (a.is_finite and a.value <= 1.0):
-            raise ValidationError("sweep orders must exceed 1")
+    alphas = [_order_above_one(a) for a in a_grid]
+    i_z = [cond_sibson_z(j, a).value_nats for a in alphas]
     rows = []
     best = []
     for n in n_grid:
         t_n = replace(test, n=int(n))
         er = exact_errors(j, t_n, qz_grid_step=qz_grid_step)
-        claimed, certified = _certify_premise(t_n, er.rate_R, claimed_rate)
-        lhs = 1.0 - er.p1
-        empirical = -math.inf if lhs <= 0 else math.log(lhs) / n
-        n_best = math.inf
-        for a in alphas:
-            i_z = cond_sibson_z(j, a).value_nats
-            if math.isinf(claimed):
-                bound = -math.inf
-            else:
-                bound = -_alpha_frac(a) * (claimed - i_z)
-            rows.append(
-                SweepRow(
-                    n=int(n), alpha=a, empirical=empirical, bound=bound,
-                    certified=certified,
-                )
-            )
-            n_best = min(n_best, bound)
-        best.append((int(n), n_best))
+        reports = [_decay_report(t_n, a, er, i, claimed_rate)
+                   for a, i in zip(alphas, i_z)]
+        rows += [SweepRow(t_n.n, r.alpha, r.empirical_exponent, r.bound_exponent,
+                          r.certified) for r in reports]
+        bounds = [r.bound_exponent for r in reports]
+        best.append((t_n.n, min(bounds, default=math.inf)))
     return SweepResult(rows=tuple(rows), best_bound=tuple(best))

@@ -10,7 +10,6 @@ certifies, so keeping them disjoint is the whole point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable
 
@@ -21,6 +20,7 @@ from .errors import ResourceLimitError, ValidationError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINT_CAP = 5_000_000
+_POLISH_PASSES = 12
 
 
 def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
@@ -42,22 +42,23 @@ def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
             f"simplex grid would hold {points} points (cap {GRID_POINT_CAP});"
             " use a coarser step"
         )
-    if dim == 1:
-        return np.ones((1, 1))
-    if dim == 2:
-        k = np.arange(m + 1)
-        return np.column_stack([k, m - k]) / m
-    if dim == 3:
-        i, j = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
-        keep = (i + j) <= m
-        i, j = i[keep], j[keep]
-        return np.column_stack([i, j, m - i - j]) / m
-    pts = [
-        (*c, m - sum(c))
-        for c in itertools.product(range(m + 1), repeat=dim - 1)
-        if sum(c) <= m
-    ]
-    return np.asarray(pts, dtype=float) / m
+    # lexicographic in the leading coordinates: each step repeats every
+    # point built so far once per value its next coordinate can take;
+    # the last coordinate is the mass left over
+    out = np.empty((points, dim))
+    left = np.full(1, float(m))  # lattice mass not yet placed, per point
+    for c in range(dim - 1):
+        reps = left.astype(np.int64) + 1
+        size = int(reps.sum())
+        out[:size, :c] = np.repeat(out[: len(left), :c], reps, axis=0)
+        coord = np.arange(size, dtype=float)
+        coord -= np.repeat(np.cumsum(reps) - reps, reps)
+        out[:size, c] = coord
+        left = np.repeat(left, reps)
+        left -= coord
+    out[:, -1] = left
+    out /= m
+    return out
 
 
 def _golden_line(f: Callable[[np.ndarray], float], q, d, lo, hi, iters=60):
@@ -84,8 +85,6 @@ def minimize_on_simplex(
     f_batch: Callable[[np.ndarray], np.ndarray],
     dim: int,
     step: float = 1e-3,
-    polish_passes: int = 12,
-    polish_window: float | None = None,
 ):
     """Grid scan of the simplex followed by golden-section polishing.
 
@@ -93,7 +92,8 @@ def minimize_on_simplex(
     values.  Returns ``(argmin, min_value)``.  Polishing moves mass
     between coordinate pairs inside a window around the best grid point,
     so the grid supplies the global picture and the line searches the
-    final digits.
+    final digits: at most ``_POLISH_PASSES`` sweeps over the pairs, each
+    move within two grid steps of the current point.
     """
     grid = simplex_grid(dim, step)
     vals = np.asarray(f_batch(grid), dtype=float)
@@ -102,12 +102,12 @@ def minimize_on_simplex(
     fq = float(vals[best])
     if dim == 1:
         return q, fq
-    window = 2.0 * step if polish_window is None else polish_window
+    window = 2.0 * step
 
     def f_one(point: np.ndarray) -> float:
         return float(f_batch(point[None, :])[0])
 
-    for _ in range(polish_passes):
+    for _ in range(_POLISH_PASSES):
         improved = False
         for i in range(dim):
             for jx in range(i + 1, dim):

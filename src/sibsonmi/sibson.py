@@ -27,7 +27,12 @@ from .core import (
     _log,
     tensor_power,
 )
-from .divergences import _logsumexp, hellinger_integral, renyi_divergence
+from .divergences import (
+    _log_power_sum,
+    _logsumexp,
+    hellinger_integral,
+    renyi_divergence,
+)
 from .errors import ValidationError
 from .oracles import min_weighted_radius
 
@@ -91,10 +96,7 @@ def sibson_mi(jxy: Joint2, a) -> MiReport:
     if a.is_one:
         return MiReport(a, shannon_mi(jxy), UNCOND, Pmf(jxy.y_labels, p.sum(axis=0)))
     if a.is_inf:
-        value = maximal_leakage(jxy)
-        sup = px > 0
-        col_max = (p[sup] / px[sup, None]).max(axis=0)
-        q = col_max / col_max.sum()
+        value, q = _leakage_parts(jxy)
         return MiReport(a, value, LEAKAGE, Pmf(jxy.y_labels, q))
     av = a.value
     sup = px > 0  # unsupported x rows carry no mass and no kernel row
@@ -106,13 +108,21 @@ def sibson_mi(jxy: Joint2, a) -> MiReport:
     return MiReport(a, value, UNCOND, Pmf(jxy.y_labels, q))
 
 
-def maximal_leakage(jxy: Joint2) -> float:
-    """log sum_y max over supported x of P(y|x); the sup-order limit."""
+def _leakage_parts(jxy: Joint2):
+    """The leakage sum's log and the output pmf attaining the sup-order
+    minimum, both from the column maxima of P(y|x) over supported x."""
     p = jxy.probs
     px = p.sum(axis=1)
     sup = px > 0
-    k = p[sup] / px[sup, None]
-    return float(np.log(k.max(axis=0).sum()))
+    col_max = (p[sup] / px[sup, None]).max(axis=0)
+    total = col_max.sum()
+    return float(np.log(total)), col_max / total
+
+
+def maximal_leakage(jxy: Joint2) -> float:
+    """log sum_y max over supported x of P(y|x); the sup-order limit."""
+    value, _ = _leakage_parts(jxy)
+    return value
 
 
 def info_radius(measures, weights, a, grid_step: float | None = None) -> float:
@@ -186,7 +196,7 @@ def cond_sibson_ygz(j: Joint3, a) -> MiReport:
         opt = Kernel(j.z_labels, j.y_labels, rows, s.reach)
         return MiReport(a, value, COND_LEAKAGE, opt)
     av = a.value
-    log_b = _logsumexp(av * s.lcxy + (1.0 - av) * s.lcx[:, :, None], axis=1) / av
+    log_b = _log_power_sum(s.lcxy, s.lcx[:, :, None], av, axis=1) / av
     l_z = av * _logsumexp(log_b, axis=1)
     value = _logsumexp(s.lpz + l_z) / (av - 1.0)
     rows = np.zeros(log_b.shape)

@@ -357,3 +357,44 @@ class TestReproducibility:
         )
         assert status == 0
         assert "cond_sibson_z" in out.read_text()
+
+
+def test_simulate_prices_exact_errors_once_per_order(ref_path, tmp_path, monkeypatch):
+    import sibsonmi.cli as cli
+    import sibsonmi.hyptest as hyptest
+
+    calls = []
+    fn = hyptest.exact_errors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_errors", counted)
+    monkeypatch.setattr(hyptest, "exact_errors", counted)
+    base = ["simulate", "--input", ref_path, "--n", "3", "--tau", "0.5"]
+    assert main([*base, "--alpha", "2", "--output", str(tmp_path / "a.txt")]) == 0
+    assert len(calls) == 1
+    assert main([*base, "--output", str(tmp_path / "b.txt")]) == 0
+    assert len(calls) == 2
+    row = "exact_errors\t\t0.875\t0.125\t0.69314718056\t"
+    assert row in (tmp_path / "a.txt").read_text()
+    assert row in (tmp_path / "b.txt").read_text()
+
+
+def test_simulate_order_at_most_one_is_error_record(ref_path, capsys):
+    args = ["simulate", "--input", ref_path, "--n", "2", "--tau", "0.5"]
+    assert main([*args, "--alpha", "2", "--alpha", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "ValidationError"
+
+
+def test_simulate_claim_far_below_information_is_vacuous(ref_path, tmp_path):
+    # exp(((a-1)/a) n (I^Z - R)) leaves the float range: the bound is +inf
+    out = tmp_path / "s.txt"
+    status = main(["simulate", "--input", ref_path, "--n", "3", "--tau", "0.5",
+                   "--alpha", "2", "--claimed-rate", "-2000", "--output", str(out)])
+    assert status == 0
+    assert "theorem6_check\t2\t0.875\t0.125\t-2000\t0.125\tinf\tfalse" in out.read_text()

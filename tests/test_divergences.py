@@ -221,3 +221,21 @@ def test_zero_iff_equal_property(p, q):
         assert d > 0.0
     else:
         assert d <= 1e-10
+
+
+class TestPowerSumConventions:
+    """Zero-mass conventions that the shared log-space power sum carries."""
+
+    def test_empty_sum(self):
+        assert _logsumexp(np.array([])) == -math.inf
+
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    def test_empty_support_of_p(self, a):
+        zero = np.zeros(2)
+        assert renyi_divergence(zero, BERN_HALF, a) == math.inf
+        assert hellinger_integral(zero, BERN_HALF, a) == 0.0
+
+    def test_disjoint_supports_below_one(self):
+        assert hellinger_integral([1.0, 0.0], [0.0, 1.0], 0.5) == 0.0
+        got = hellinger_integral(BERN_HALF, [1.0, 0.0], 0.5)
+        assert got == pytest.approx(0.5**0.5, rel=1e-15)

@@ -356,3 +356,42 @@ class TestExponentSweep:
     def test_rejects_small_orders(self, ref):
         with pytest.raises(ValidationError):
             exponent_sweep(ref, threshold_test(ref, 0.5, 1), (0.5,), (1,))
+
+
+class TestSweepSharesDecayReport:
+    def _count(self, monkeypatch, name):
+        import sibsonmi.hyptest as hyptest
+
+        calls = []
+        fn = getattr(hyptest, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(hyptest, name, counted)
+        return calls
+
+    def test_one_exact_errors_per_n_and_one_measure_per_order(self, ref, monkeypatch):
+        exact = self._count(monkeypatch, "exact_errors")
+        measure = self._count(monkeypatch, "cond_sibson_z")
+        orders = (1.5, 2.0, 4.0, Alpha.INFINITY)
+        exponent_sweep(ref, threshold_test(ref, 0.5, 1), orders, (1, 2, 3))
+        assert [args[1].n for args in exact] == [1, 2, 3]
+        assert [args[1] for args in measure] == [Alpha.coerce(a) for a in orders]
+
+    @pytest.mark.parametrize("tau, claimed", [(0.5, 0.5), (0.5, None), (9.0, None)])
+    def test_rows_are_decay_check_exponents(self, ref, tau, claimed):
+        # tau = 9 is above every score: a silent test with an infinite claim
+        test = threshold_test(ref, tau, 1)
+        sw = exponent_sweep(ref, test, (1.5, 2.0, Alpha.INFINITY), (1, 2, 3),
+                            claimed_rate=claimed)
+        assert len(sw.rows) == 9
+        for row in sw.rows:
+            t6 = theorem6_check(ref, threshold_test(ref, tau, row.n), row.alpha,
+                                claimed_rate=claimed)
+            assert row.empirical == t6.empirical_exponent
+            assert row.bound == t6.bound_exponent
+            assert row.certified == t6.certified
+        if tau == 9.0:
+            assert all(r.bound == -math.inf for r in sw.rows)
