@@ -42,7 +42,13 @@ from .exponents import (
     eq_biconjugate,
     lambda_of_alpha,
 )
-from .hyptest import exact_errors, monte_carlo_errors, theorem6_check, threshold_test
+from .hyptest import (
+    _checked_decay_report,
+    _order_above_one,
+    exact_errors,
+    monte_carlo_errors,
+    threshold_test,
+)
 from .sdpi import contraction_search, sdpi_unconditional_check
 from .selftest import INFO, run_selftest
 from .sibson import (
@@ -405,7 +411,7 @@ def _cmd_bound(config: RunConfig, rep: Report) -> int:
 def _cmd_sdpi(config: RunConfig, rep: Report) -> int:
     j = load_joint(config.input_path)
     alphas = config.alphas or (Alpha(2.0),)
-    budget = config.budget or 10_000
+    budget = 10_000 if config.budget is None else config.budget
     jxy = j.marginal_xy()
     channel = jxy.kernel_y_given_x()
     if not np.all(channel.reachable):
@@ -441,12 +447,10 @@ def _cmd_simulate(config: RunConfig, rep: Report) -> int:
         "operation", "alpha", "p1", "p2_worst", "rate", "lhs", "rhs",
         "certified", "halfwidth", "pass",
     )
-    checks = [
-        theorem6_check(j, test, a, qz_grid_step=step, claimed_rate=config.claimed_rate)
-        for a in config.alphas
-    ]
-    # every check prices the same exact errors; reuse the first one's
-    er = checks[0].exact if checks else exact_errors(j, test, qz_grid_step=step)
+    alphas = [_order_above_one(a) for a in config.alphas]
+    er = exact_errors(j, test, qz_grid_step=step)
+    checks = [_checked_decay_report(j, test, a, er, config.claimed_rate)
+              for a in alphas]
     rep.add_row("exact_errors", "", er.p1, er.p2_worst, er.rate_R, "", "",
                 "", "", True)
     status = 0

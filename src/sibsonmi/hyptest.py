@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Alpha, Joint3
+from .core import DEFAULT_CELL_CAP, Alpha, Joint3
 from .errors import (
     InequalityViolation,
     ResourceLimitError,
@@ -240,12 +240,17 @@ def monte_carlo_errors(
     """Seeded sampling estimate of the same quantities at larger n.
 
     Reports point estimates with 95% binomial (Agresti-Coull)
-    half-widths; identical seeds give identical reports.
+    half-widths; identical seeds give identical reports.  trials * n
+    above DEFAULT_CELL_CAP raises ResourceLimitError before sampling.
     """
     _check_test(j, test)
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     n, tau = test.n, test.tau
+    if trials * n > DEFAULT_CELL_CAP:
+        raise ResourceLimitError(
+            f"{trials} trials of length {n} pass the {DEFAULT_CELL_CAP}-cell cap"
+        )
     _, _, _, cx, cy = j.conditionals_given_z()
     rng = np.random.default_rng(seed)
     values = np.where(np.isfinite(test.scores), test.scores, -math.inf).ravel()
@@ -391,6 +396,14 @@ def theorem6_check(
     """
     a = _order_above_one(a)
     er = exact_errors(j, test, qz_grid_step=qz_grid_step)
+    return _checked_decay_report(j, test, a, er, claimed_rate)
+
+
+def _checked_decay_report(
+    j: Joint3, test: ThresholdTest, a: Alpha, er: ErrorReport, claimed_rate
+) -> Theorem6Report:
+    """The decay report at one order; raises InequalityViolation if a
+    certified check fails beyond 1e-9."""
     report = _decay_report(test, a, er, cond_sibson_z(j, a).value_nats, claimed_rate)
     if report.certified and report.lhs > report.rhs + CHECK_TOL:
         raise InequalityViolation(

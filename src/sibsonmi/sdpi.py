@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alpha, Joint2, Joint4, Kernel
+from .core import DEFAULT_CELL_CAP, Alpha, Joint2, Joint4, Kernel
 from .errors import (
     InequalityViolation,
     PreconditionError,
+    ResourceLimitError,
     ValidationError,
 )
 from .sibson import cond_sibson_z, sibson_mi
@@ -42,6 +43,8 @@ class ContractionEstimate:
     witness_ratio: tuple[np.ndarray, np.ndarray]
     budget: int
     seed: int
+    ascent_sweeps: int = 0  # lockstep ascent iterations run
+    discarded: int = 0  # sampled pairs dropped as not distinct
 
 
 def _hellinger_rows(ps: np.ndarray, qs: np.ndarray, av: float) -> np.ndarray:
@@ -89,9 +92,18 @@ def contraction_search(
     Maximises both ratio functionals over (mu, nu) on the input simplex
     and returns the best values found together with the witness pairs.
     The results are lower bounds on the respective suprema and are
-    bit-for-bit reproducible for a given seed and budget; candidate
-    evaluation is a vectorised max-reduction, so evaluation order does
-    not matter.
+    bit-for-bit reproducible for a given seed and budget.  ``budget``
+    Dirichlet pairs are scored in one vectorised pass; the ten best
+    pairs of each functional then start a coordinate ascent.  All starts
+    run as one batch in lockstep: every move (side mu then nu,
+    coordinate, sign + then -) is one array evaluation, and each start
+    takes it only where it improves its own value by more than 1e-15, so
+    every start follows the moves it would follow alone.  The batch
+    pushes each input through the kernel as a stacked (1, d) @ (d, m)
+    product, since a (B, d) @ (d, m) product can round differently and
+    the witnesses must not depend on the batch.  budget * max(d, m)
+    above DEFAULT_CELL_CAP raises ResourceLimitError before sampling, so
+    neither the sampled inputs nor their images pass the cap.
     """
     a = Alpha.coerce(a)
     if not a.is_finite or a.value <= 1.0:
@@ -101,7 +113,12 @@ def contraction_search(
     if not np.all(k.reachable):
         raise ValidationError("contraction search needs fully reachable rows")
     av = a.value
-    d = len(k.in_labels)
+    d, m = len(k.in_labels), len(k.out_labels)
+    if budget * max(d, m) > DEFAULT_CELL_CAP:
+        raise ResourceLimitError(
+            f"budget {budget} over {d} inputs and {m} outputs passes the "
+            f"{DEFAULT_CELL_CAP}-cell cap"
+        )
     rng = np.random.default_rng(seed)
     mus = rng.dirichlet(np.ones(d), size=budget)
     nus = rng.dirichlet(np.ones(d), size=budget)
@@ -111,47 +128,52 @@ def contraction_search(
     lit = _literal(d_in, d_out)
     norm = _normalized(d_in, d_out)
 
-    def ascend(score_fn, order_scores):
-        top = np.argsort(order_scores)[-10:]
-        best_val = -math.inf
-        best_pair = None
-        for idx in top:
-            mu, nu = mus[idx].copy(), nus[idx].copy()
-            val = float(score_fn(mu, nu))
-            for it in range(100):
-                delta = (0.1, 0.03, 0.01, 0.003, 0.001)[min(it // 20, 4)]
-                improved = False
-                for vec in (mu, nu):
-                    for i in range(d):
-                        for sign in (1.0, -1.0):
-                            cand = vec.copy()
-                            cand[i] = max(cand[i] + sign * delta, _ASCENT_FLOOR)
-                            cand /= cand.sum()
-                            old = vec.copy()
-                            vec[:] = cand
-                            trial = float(score_fn(mu, nu))
-                            if trial > val + 1e-15:
-                                val = trial
-                                improved = True
-                            else:
-                                vec[:] = old
-                if not improved:
-                    break
-            if val > best_val:
-                best_val = val
-                best_pair = (mu.copy(), nu.copy())
+    top_lit, top_norm = np.argsort(lit)[-10:], np.argsort(norm)[-10:]
+    top = np.concatenate((top_lit, top_norm))
+    lit_row = np.arange(len(top)) < len(top_lit)
+    mu, nu = mus[top], nus[top]
+
+    def score(rows, mu_b, nu_b):
+        # stacked matrix-vector products, not one matrix product (see above)
+        d_i = _hellinger_rows(mu_b, nu_b, av)
+        d_o = _hellinger_rows(
+            (mu_b[:, None] @ k.rows)[:, 0], (nu_b[:, None] @ k.rows)[:, 0], av
+        )
+        return np.where(lit_row[rows], _literal(d_i, d_o), _normalized(d_i, d_o))
+
+    val = score(slice(None), mu, nu)
+    live = np.ones(len(val), dtype=bool)
+    sweeps = 0
+    while sweeps < 100 and live.any():
+        delta = (0.1, 0.03, 0.01, 0.003, 0.001)[min(sweeps // 20, 4)]
+        sweeps += 1
+        rows = np.flatnonzero(live)
+        improved = np.zeros(len(rows), dtype=bool)
+        for side in (mu, nu):
+            for i in range(d):
+                for step in (delta, -delta):
+                    cand = side[rows]
+                    cand[:, i] = np.maximum(cand[:, i] + step, _ASCENT_FLOOR)
+                    cand /= cand.sum(axis=1, keepdims=True)
+                    if side is mu:
+                        trial = score(rows, cand, nu[rows])
+                    else:
+                        trial = score(rows, mu[rows], cand)
+                    take = trial > val[rows] + 1e-15
+                    side[rows[take]] = cand[take]
+                    val[rows[take]] = trial[take]
+                    improved |= take
+        live[rows] = improved
+
+    def best(rows):
+        best_val, best_pair = -math.inf, None
+        for r in rows:
+            if val[r] > best_val:
+                best_val, best_pair = float(val[r]), (mu[r].copy(), nu[r].copy())
         return best_val, best_pair
 
-    def lit_score(mu, nu):
-        d_i, d_o = _pair_values(k.rows, mu[None, :], nu[None, :], av)
-        return _literal(d_i, d_o)[0]
-
-    def norm_score(mu, nu):
-        d_i, d_o = _pair_values(k.rows, mu[None, :], nu[None, :], av)
-        return _normalized(d_i, d_o)[0]
-
-    lit_best, lit_wit = ascend(lit_score, lit)
-    norm_best, norm_wit = ascend(norm_score, norm)
+    lit_best, lit_wit = best(np.flatnonzero(lit_row))
+    norm_best, norm_wit = best(np.flatnonzero(~lit_row))
     lit_best = max(lit_best, float(np.max(lit, initial=0.0)))
     norm_best = max(norm_best, float(np.max(norm, initial=0.0)), 0.0)
     return ContractionEstimate(
@@ -162,6 +184,8 @@ def contraction_search(
         witness_ratio=lit_wit,
         budget=budget,
         seed=seed,
+        ascent_sweeps=sweeps,
+        discarded=int(np.count_nonzero(~distinct)),
     )
 
 

@@ -398,3 +398,50 @@ def test_simulate_claim_far_below_information_is_vacuous(ref_path, tmp_path):
                    "--alpha", "2", "--claimed-rate", "-2000", "--output", str(out)])
     assert status == 0
     assert "theorem6_check\t2\t0.875\t0.125\t-2000\t0.125\tinf\tfalse" in out.read_text()
+
+
+def test_simulate_prices_exact_errors_once_for_all_orders(ref_path, tmp_path, monkeypatch):
+    import sibsonmi.cli as cli
+    import sibsonmi.hyptest as hyptest
+
+    calls = []
+    fn = hyptest.exact_errors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_errors", counted)
+    monkeypatch.setattr(hyptest, "exact_errors", counted)
+    out = tmp_path / "s.txt"
+    args = ["simulate", "--input", ref_path, "--n", "3", "--tau", "0.5",
+            "--alpha", "2", "--alpha", "4", "--alpha", "inf", "--output", str(out)]
+    assert main(args) == 0
+    assert len(calls) == 1
+    assert out.read_text().count("theorem6_check\t") == 3
+
+
+def _error_record(capsys):
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    return json.loads(line)
+
+
+def test_sdpi_budget_zero_is_error_record(ref_path, capsys):
+    assert main(["sdpi", "--input", ref_path, "--budget", "0"]) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert record["message"] == "budget must be at least 1"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sdpi", "--budget", "1000000000000"],
+        ["simulate", "--n", "3", "--tau", "0.5", "--budget", "1000000000000"],
+    ],
+)
+def test_sampling_past_cell_cap_is_error_record(ref_path, capsys, args):
+    assert main([*args, "--input", ref_path]) == 2
+    assert _error_record(capsys)["error"] == "ResourceLimitError"

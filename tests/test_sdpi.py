@@ -1,10 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from sibsonmi import sdpi
 from sibsonmi.core import Alpha, Kernel
-from sibsonmi.errors import InequalityViolation, PreconditionError, ValidationError
+from sibsonmi.errors import (
+    InequalityViolation,
+    PreconditionError,
+    ResourceLimitError,
+    ValidationError,
+)
 from sibsonmi.instances import (
     random_joint2,
     random_kernel,
@@ -20,6 +27,85 @@ from sibsonmi.sibson import sibson_mi
 
 def binary_kernel(rows):
     return Kernel(("0", "1"), ("0", "1"), rows)
+
+
+def scalar_contraction_search(k, a, budget, seed):
+    """The per-start coordinate ascent, one pair per evaluation; the
+    reference the lockstep batch must match bit for bit."""
+    av = Alpha.coerce(a).value
+    d = len(k.in_labels)
+    rng = np.random.default_rng(seed)
+    mus = rng.dirichlet(np.ones(d), size=budget)
+    nus = rng.dirichlet(np.ones(d), size=budget)
+    distinct = np.max(np.abs(mus - nus), axis=1) > 1e-12
+    mus, nus = mus[distinct], nus[distinct]
+    d_in, d_out = sdpi._pair_values(k.rows, mus, nus, av)
+    lit = sdpi._literal(d_in, d_out)
+    norm = sdpi._normalized(d_in, d_out)
+
+    def ascend(ratio, order_scores):
+        def score(mu, nu):
+            return float(ratio(*sdpi._pair_values(k.rows, mu[None], nu[None], av))[0])
+
+        best_val, best_pair = -math.inf, None
+        for idx in np.argsort(order_scores)[-10:]:
+            mu, nu = mus[idx].copy(), nus[idx].copy()
+            val = score(mu, nu)
+            for it in range(100):
+                delta = (0.1, 0.03, 0.01, 0.003, 0.001)[min(it // 20, 4)]
+                improved = False
+                for vec in (mu, nu):
+                    for i in range(d):
+                        for sign in (1.0, -1.0):
+                            cand = vec.copy()
+                            cand[i] = max(cand[i] + sign * delta, sdpi._ASCENT_FLOOR)
+                            cand /= cand.sum()
+                            old = vec.copy()
+                            vec[:] = cand
+                            trial = score(mu, nu)
+                            if trial > val + 1e-15:
+                                val = trial
+                                improved = True
+                            else:
+                                vec[:] = old
+                if not improved:
+                    break
+            if val > best_val:
+                best_val, best_pair = val, (mu.copy(), nu.copy())
+        return best_val, best_pair
+
+    lit_best, lit_wit = ascend(sdpi._literal, lit)
+    norm_best, norm_wit = ascend(sdpi._normalized, norm)
+    lit_best = max(lit_best, float(np.max(lit, initial=0.0)))
+    norm_best = max(norm_best, float(np.max(norm, initial=0.0)), 0.0)
+    return norm_best, lit_best, norm_wit, lit_wit
+
+
+def _labels(n):
+    return tuple(str(i) for i in range(n))
+
+
+def _search_cases():
+    orders = (1.01, 1.5, 2.0, 4.0, 7.3)
+    budgets = (1, 2, 10, 300, 1000, 2000)
+    for idx, (d, m) in enumerate(itertools.product((2, 3, 4, 8), (2, 3, 8))):
+        k = random_kernel(np.random.default_rng(idx), d, m)
+        yield f"random-{d}x{m}", k, orders[idx % 5], budgets[idx % 6], idx
+    yield "identity-3", Kernel(_labels(3), _labels(3), np.eye(3)), 4.0, 300, 1
+    yield "identity-8", Kernel(_labels(8), _labels(8), np.eye(8)), 1.5, 10, 2
+    const = Kernel(_labels(4), _labels(3), np.tile([0.2, 0.3, 0.5], (4, 1)))
+    yield "constant-4x3", const, 2.0, 1000, 3
+    # at this order every input divergence stays below the 1e-6
+    # denominator cutoff, so every normalised value is -inf
+    flat = binary_kernel([[0.3, 0.7], [0.3, 0.7]])
+    yield "constant-all-inf", flat, 1.0 + 1e-8, 2, 4
+    yield "single-input", Kernel(_labels(1), _labels(2), [[0.4, 0.6]]), 2.0, 5, 5
+
+
+def _same_pair(p, q):
+    if p is None or q is None:
+        return p is None and q is None
+    return all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(p, q))
 
 
 class TestContractionSearch:
@@ -90,6 +176,60 @@ class TestContractionSearch:
     def test_requires_positive_budget(self):
         with pytest.raises(ValidationError):
             contraction_search(binary_kernel(np.eye(2)), 2, budget=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "k, a, budget, seed",
+        [case[1:] for case in _search_cases()],
+        ids=[case[0] for case in _search_cases()],
+    )
+    def test_lockstep_matches_scalar_ascent(self, k, a, budget, seed):
+        est = contraction_search(k, a, budget=budget, seed=seed)
+        norm, lit, norm_wit, lit_wit = scalar_contraction_search(k, a, budget, seed)
+        assert est.eta_normalized == norm
+        assert est.eta_ratio_lower == lit
+        assert _same_pair(est.witness_normalized, norm_wit)
+        assert _same_pair(est.witness_ratio, lit_wit)
+
+    def test_all_inf_normalised_values_leave_no_witness(self):
+        flat = binary_kernel([[0.3, 0.7], [0.3, 0.7]])
+        est = contraction_search(flat, 1.0 + 1e-8, budget=2, seed=4)
+        assert est.witness_normalized is None
+        assert est.eta_normalized == 0.0
+        assert est.witness_ratio is not None
+
+    def test_one_evaluation_per_move_for_all_starts(self, monkeypatch):
+        calls = []
+        fn = sdpi._hellinger_rows
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return fn(*args)
+
+        monkeypatch.setattr(sdpi, "_hellinger_rows", counted)
+        k = random_kernel(np.random.default_rng(11), 3, 3)
+        d = 3
+        est = contraction_search(k, 2, budget=2000, seed=0)
+        assert 1 <= est.ascent_sweeps <= 100
+        # sampling pass, first scores, then one pair of calls per move
+        assert len(calls) == 2 + 2 * (1 + 4 * d * est.ascent_sweeps)
+        assert len(calls) <= 2 + 2 * (1 + 100 * 4 * d)
+
+    def test_wide_output_passes_cell_cap_before_sampling(self):
+        # 5001 pairs fit the cap on 2 inputs, but their 2000-symbol images do not
+        wide = Kernel(_labels(2), _labels(2000), np.full((2, 2000), 1 / 2000))
+        with pytest.raises(ResourceLimitError):
+            contraction_search(wide, 2, budget=5001, seed=0)
+
+    def test_search_diagnostics(self, rng):
+        k = random_kernel(rng, 3, 2)
+        est = contraction_search(k, 2, budget=1000, seed=0)
+        assert 1 <= est.ascent_sweeps <= 100
+        assert est.discarded == 0
+        single = Kernel(_labels(1), _labels(2), [[0.4, 0.6]])
+        est = contraction_search(single, 2, budget=50, seed=0)
+        assert est.discarded == 50
+        assert est.ascent_sweeps == 0
+        assert est.witness_ratio is None and est.witness_normalized is None
 
 
 class TestConditionalCheck:
