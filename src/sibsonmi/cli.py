@@ -9,8 +9,7 @@ runs with the same input, config and seed are byte-identical.
 
 Input format (JSON): fields ``x_labels``, ``y_labels``, ``z_labels``
 (arrays of strings) and ``probs`` (flat row-major array, x-major then
-y then z).  The SIBSONMI_TENSOR_CELL_CAP environment variable bounds
-tensor-power sizes.
+y then z).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -461,7 +459,7 @@ def _cmd_simulate(config: RunConfig, rep: Report) -> int:
             "theorem6_check", str(t6.alpha), er.p1, er.p2_worst, t6.claimed_rate,
             t6.lhs, t6.rhs, t6.certified, "", ok,
         )
-    if config.budget:
+    if config.budget is not None:
         pz = j.probs.sum(axis=(0, 1))
         mc = monte_carlo_errors(j, test, [pz], config.budget, seed=config.seed)
         rep.add_row(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,19 +27,6 @@ from .errors import (
 
 MASS_TOL = 1e-12
 DEFAULT_CELL_CAP = 10_000_000
-CELL_CAP_ENV = "SIBSONMI_TENSOR_CELL_CAP"
-
-
-def _configured_cell_cap() -> int:
-    raw = os.environ.get(CELL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CELL_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{CELL_CAP_ENV} must be an integer, got {raw!r}"
-        ) from None
 
 AXES = ("x", "y", "z")
 
@@ -575,24 +561,22 @@ def event_slice_zy(e: EventMask, j: Joint3, z, y) -> np.ndarray:
     return e.mask[:, iy, iz]
 
 
-def tensor_power(j: Joint3, n: int, cell_cap: int | None = None) -> Joint3:
+def tensor_power(j: Joint3, n: int) -> Joint3:
     """The n-fold product of ``j`` over product alphabets.
 
     Cell (x_1..x_n, y_1..y_n, z_1..z_n) carries the product of the
     per-coordinate probabilities.  Raises ResourceLimitError before
-    allocating anything above ``cell_cap`` cells (default 10^7, or the
-    SIBSONMI_TENSOR_CELL_CAP environment variable).
+    allocating anything above DEFAULT_CELL_CAP cells.
     """
     if n < 1:
         raise ValidationError(f"tensor power needs n >= 1, got {n}")
     if n == 1:
         return j
-    cap = _configured_cell_cap() if cell_cap is None else int(cell_cap)
     nx, ny, nz = j.shape
     cells = (nx * ny * nz) ** n
-    if cells > cap:
+    if cells > DEFAULT_CELL_CAP:
         raise ResourceLimitError(
-            f"tensor power would need {cells} cells, cap is {cap}"
+            f"tensor power would need {cells} cells, cap is {DEFAULT_CELL_CAP}"
         )
     acc = j.probs
     for _ in range(n - 1):

@@ -1,11 +1,13 @@
 """Brute-force simplex minimisers used as independent cross-checks.
 
 Everything here evaluates divergence objectives directly from their
-defining sums on a dense probability-simplex grid and then polishes the
-best grid point with golden-section line searches along coordinate
-exchange directions.  None of it touches the closed forms in the
-measures module; agreement between the two paths is what the test suite
-certifies, so keeping them disjoint is the whole point.
+defining sums (one linear-space power-sum kernel, ``_power_sums``) on a
+dense probability-simplex grid and then polishes the best grid point
+with batched line searches along coordinate exchange directions; the
+grid and the polish go through the same batch objective.  None of it
+touches the closed forms in the measures module; agreement between the
+two paths is what the test suite certifies, so keeping them disjoint is
+the whole point.
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ import numpy as np
 from .core import Alpha, Joint2, Joint3
 from .errors import ResourceLimitError, ValidationError
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINT_CAP = 5_000_000
 _POLISH_PASSES = 12
+# each line-search round evaluates _LINE_POINTS evenly spaced points in
+# one batch and keeps the two intervals around the best, so the bracket
+# shrinks 16x per round and 16^10 ~ 1e12-fold over a search
+_LINE_POINTS = 33
+_LINE_ROUNDS = 10
 
 
 def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
@@ -61,24 +67,20 @@ def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
     return out
 
 
-def _golden_line(f: Callable[[np.ndarray], float], q, d, lo, hi, iters=60):
-    """Minimise t -> f(q + t d) on [lo, hi] by golden section."""
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1 = f(q + x1 * d)
-    f2 = f(q + x2 * d)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(q + x1 * d)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(q + x2 * d)
-    t = x1 if f1 <= f2 else x2
-    return t, min(f1, f2)
+def _line_search(f_batch: Callable[[np.ndarray], np.ndarray], q, d, lo, hi):
+    """Minimise t -> f(q + t d) on [lo, hi] by batched bracketing.
+
+    Returns the best ``(t, value)`` among all points evaluated.
+    """
+    best_t, best_f = lo, math.inf
+    for _ in range(_LINE_ROUNDS):
+        ts = np.linspace(lo, hi, _LINE_POINTS)
+        vals = np.asarray(f_batch(q + ts[:, None] * d), dtype=float)
+        k = int(np.argmin(vals))
+        if vals[k] < best_f:
+            best_t, best_f = float(ts[k]), float(vals[k])
+        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, _LINE_POINTS - 1)]
+    return best_t, best_f
 
 
 def minimize_on_simplex(
@@ -86,14 +88,16 @@ def minimize_on_simplex(
     dim: int,
     step: float = 1e-3,
 ):
-    """Grid scan of the simplex followed by golden-section polishing.
+    """Grid scan of the simplex followed by line-search polishing.
 
     ``f_batch`` maps an (k, dim) array of simplex points to k objective
     values.  Returns ``(argmin, min_value)``.  Polishing moves mass
     between coordinate pairs inside a window around the best grid point,
     so the grid supplies the global picture and the line searches the
     final digits: at most ``_POLISH_PASSES`` sweeps over the pairs, each
-    move within two grid steps of the current point.
+    move within two grid steps of the current point.  Every line search
+    calls ``f_batch`` ``_LINE_ROUNDS`` times, plus once more to re-price
+    an accepted move.
     """
     grid = simplex_grid(dim, step)
     vals = np.asarray(f_batch(grid), dtype=float)
@@ -103,10 +107,6 @@ def minimize_on_simplex(
     if dim == 1:
         return q, fq
     window = 2.0 * step
-
-    def f_one(point: np.ndarray) -> float:
-        return float(f_batch(point[None, :])[0])
-
     for _ in range(_POLISH_PASSES):
         improved = False
         for i in range(dim):
@@ -117,16 +117,44 @@ def minimize_on_simplex(
                 hi = min(q[jx], window)
                 if hi - lo < 1e-15:
                     continue
-                t, ft = _golden_line(f_one, q, d, lo, hi)
+                t, ft = _line_search(f_batch, q, d, lo, hi)
                 if ft < fq - 1e-15:
                     q = q + t * d
                     np.clip(q, 0.0, None, out=q)
                     q /= q.sum()
-                    fq = f_one(q)
+                    fq = float(f_batch(q[None, :])[0])
                     improved = True
         if not improved:
             break
     return q, fq
+
+
+def _power_sums(p: np.ndarray, ms: np.ndarray, av: float) -> np.ndarray:
+    """Row sums of p^a m^(1-a) over the cells, straight from the definition.
+
+    ``p`` is one measure on the cells and the rows of ``ms`` are measures
+    on the same cells.  A p = 0 cell adds nothing; an m = 0 cell against
+    p > 0 adds nothing below order 1 and makes its row +inf above it.
+    """
+    pos = p > 0
+    hit = pos & (ms > 0)
+    # in place: a grid of candidate rows is the largest array in the oracles
+    terms = np.where(hit, ms, 1.0)
+    terms **= 1.0 - av
+    terms *= p**av
+    terms[~hit] = 0.0
+    sums = terms.sum(axis=1)
+    if av > 1:
+        sums[(pos & ~hit).any(axis=1)] = math.inf
+    return sums
+
+
+def _renyi_from_sums(sums: np.ndarray, av: float) -> np.ndarray:
+    """(1/(a-1)) log of power sums; an empty (zero) sum is +inf."""
+    out = np.full(sums.shape[0], math.inf)
+    ok = sums > 0
+    out[ok] = np.log(sums[ok]) / (av - 1.0)
+    return out
 
 
 def batch_renyi_from_defs(p_flat: np.ndarray, ms: np.ndarray, av: float):
@@ -138,20 +166,7 @@ def batch_renyi_from_defs(p_flat: np.ndarray, ms: np.ndarray, av: float):
     """
     p_flat = np.asarray(p_flat, dtype=float)
     ms = np.asarray(ms, dtype=float)
-    pos = p_flat > 0
-    bad = pos[None, :] & (ms <= 0)
-    safe_m = np.where(ms > 0, ms, 1.0)
-    terms = np.where(
-        pos[None, :], p_flat[None, :] ** av * safe_m ** (1.0 - av), 0.0
-    )
-    terms = np.where(bad, 0.0, terms)
-    sums = terms.sum(axis=1)
-    out = np.full(ms.shape[0], math.inf)
-    ok = sums > 0
-    out[ok] = np.log(sums[ok]) / (av - 1.0)
-    if av > 1:
-        out[bad.any(axis=1)] = math.inf
-    return out
+    return _renyi_from_sums(_power_sums(p_flat, ms, av), av)
 
 
 def _finite_alpha(a) -> float:
@@ -238,22 +253,12 @@ def cond_ygz_oracle(j: Joint3, a, step: float | None = None):
     for z in range(nz):
         if not reach[z]:
             continue
-        p_slice = j.probs[:, :, z]
+        p_slice = j.probs[:, :, z].ravel()
         base = cx[z][:, None] * pz[z]  # P(x|z) P_Z(z), broadcast over y
 
         def block(qs: np.ndarray, p_slice=p_slice, base=base) -> np.ndarray:
-            ms = base[None, :, :] * qs[:, None, :]
-            pos = p_slice > 0
-            bad = pos[None, :, :] & (ms <= 0)
-            safe = np.where(ms > 0, ms, 1.0)
-            terms = np.where(
-                pos[None, :, :], p_slice[None, :, :] ** av * safe ** (1.0 - av), 0.0
-            )
-            terms = np.where(bad, 0.0, terms)
-            sums = terms.sum(axis=(1, 2))
-            if av > 1:
-                sums[bad.any(axis=(1, 2))] = math.inf
-            return sign * sums
+            ms = (base[None, :, :] * qs[:, None, :]).reshape(qs.shape[0], -1)
+            return sign * _power_sums(p_slice, ms, av)
 
         q, s = minimize_on_simplex(block, ny, step=step)
         rows[z] = q
@@ -284,23 +289,8 @@ def min_weighted_radius(measures, weights, a, step: float | None = None):
     mus_a, w_a = mus[active], w[active]
 
     def f_batch(nus: np.ndarray) -> np.ndarray:
-        if av > 1:
-            # zero centre coordinates poison a candidate below; keep the
-            # power finite here and mark the row instead
-            pow_nu = np.where(nus > 0, nus, 1.0) ** (1.0 - av)
-        else:
-            pow_nu = nus ** (1.0 - av)  # 0^(positive) = 0, the true term
-        totals = np.zeros(nus.shape[0])
-        poisoned = np.zeros(nus.shape[0], dtype=bool)
-        for mu, wt in zip(mus_a, w_a):
-            pos = mu > 0
-            totals += wt * (pow_nu[:, pos] @ (mu[pos] ** av))
-            if av > 1:
-                poisoned |= (nus[:, pos] <= 0).any(axis=1)
-        out = np.full(nus.shape[0], math.inf)
-        ok = (totals > 0) & ~poisoned
-        out[ok] = np.log(totals[ok]) / (av - 1.0)
-        return out
+        totals = sum(wt * _power_sums(mu, nus, av) for mu, wt in zip(mus_a, w_a))
+        return _renyi_from_sums(totals, av)
 
     nu, val = minimize_on_simplex(f_batch, dim, step=step)
     return val, nu

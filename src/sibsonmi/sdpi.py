@@ -2,14 +2,20 @@
 Markov kernel, and the additive strong-data-processing checks it feeds.
 
 Two ratio functionals are tracked.  The literal ratio
-D(K mu || K nu) / D(mu || nu) tends to 1 as mu -> nu because the
-Hellinger integral of two equal measures is 1, not 0; the normalised
-variant subtracts that baseline from numerator and denominator and is
-the usual f-divergence contraction coefficient.  Both are reported.
+H_a(K mu || K nu) / H_a(mu || nu) has supremum exactly 1 for every
+kernel: for a > 1 the Hellinger integral is an f-divergence with f
+convex, so H_a(K mu || K nu) <= H_a(mu || nu) by data processing, and
+both sides tend to 1 (the integral of two equal measures) as mu -> nu.
+The normalised variant subtracts that baseline from numerator and
+denominator and is the usual f-divergence contraction coefficient.  Both
+are reported.
+
 The additive inequalities below consume the searched *lower* bound of
-the literal ratio: its log is more negative than the true value, which
-makes every check strictly harder, so a pass certifies the inequality
-on the instance and can never be an artifact of an unlucky search.
+the literal ratio, so log(eta)/(a-1) <= 0 and they test plain data
+processing made stricter by the search shortfall 1 - eta.  A pass
+certifies the inequality on the instance; a failure can be that
+shortfall rather than a violated inequality (``sdpi.unconditional_chain``
+in the selftest battery fails this way at seeds 8, 202 and 400).
 """
 
 from __future__ import annotations
@@ -195,7 +201,9 @@ def sdpi_conditional_check(
     """Additive contraction inequality on a (Z,W) - X - Y chain.
 
     Checks I^Z(W,Y|Z) <= log(eta)/(a-1) + I^Z(W,X|Z) with eta the
-    searched lower bound for the X -> Y channel's literal ratio; raises
+    searched lower bound for the X -> Y channel's literal ratio.  That
+    ratio's supremum is 1, so this is data processing tightened by the
+    search shortfall, not a strong data-processing inequality.  Raises
     InequalityViolation beyond 1e-9, otherwise returns ``(lhs, rhs)``.
     """
     a = Alpha.coerce(a)
@@ -223,7 +231,9 @@ def sdpi_unconditional_check(
 
     W is generated from X through ``channel_wx`` (so the chain holds by
     construction); checks I_a(W,Y) <= log(eta)/(a-1) + I_a(X,Y) with
-    eta the searched lower bound for that channel.  Raises
+    eta the searched lower bound for that channel's literal ratio.  That
+    ratio's supremum is 1, so this is data processing tightened by the
+    search shortfall, not a strong data-processing inequality.  Raises
     InequalityViolation beyond 1e-9, otherwise returns ``(lhs, rhs)``.
     """
     a = Alpha.coerce(a)

@@ -258,13 +258,13 @@ def lmgf_representation(j: Joint3, a) -> tuple[float, float, float]:
     return lhs, rhs1, rhs2
 
 
-def additivity_check(j: Joint3, a, n: int, cell_cap: int | None = None):
+def additivity_check(j: Joint3, a, n: int):
     """Tensorisation probe: the Z-minimised measure of the n-fold power
     against n times the single-letter value.  Returns ``(lhs, rhs)``.
     """
     a = Alpha.coerce(a)
     if not a.is_finite:
         raise ValidationError("the additivity probe needs a finite order")
-    lhs = cond_sibson_z(tensor_power(j, n, cell_cap=cell_cap), a).value_nats
+    lhs = cond_sibson_z(tensor_power(j, n), a).value_nats
     rhs = n * cond_sibson_z(j, a).value_nats
     return lhs, rhs

@@ -435,6 +435,15 @@ def test_sdpi_budget_zero_is_error_record(ref_path, capsys):
     assert record["message"] == "budget must be at least 1"
 
 
+def test_simulate_budget_zero_is_error_record(ref_path, capsys):
+    args = ["simulate", "--input", ref_path, "--n", "3", "--tau", "0.5",
+            "--budget", "0"]
+    assert main(args) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert record["message"] == "trials must be at least 1"
+
+
 @pytest.mark.parametrize(
     "args",
     [
