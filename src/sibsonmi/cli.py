@@ -57,7 +57,9 @@ from .sibson import (
     sibson_mi,
 )
 
-EVENT_GRAMMAR = """\
+MAX_EVENT_DEPTH = 100
+
+EVENT_GRAMMAR = f"""\
 Event grammar (7 productions):
 
     expr       := or_expr
@@ -68,8 +70,10 @@ Event grammar (7 productions):
     comparison := term ( "==" | "!=" ) term
     term       := "x" | "y" | "z" | quoted string literal
 
-The variables bind to the label strings of each cell, for example
+The variables bind to the label strings of each cell (str(label)), and
+comparisons are exact string comparisons, for example
     x==y and not z=='0'
+'not' and parentheses nest at most {MAX_EVENT_DEPTH} levels deep.
 """
 
 REQUIRED_FIELDS = ("x_labels", "y_labels", "z_labels", "probs")
@@ -79,19 +83,29 @@ LOAD_MASS_TOL = 1e-9
 def load_joint(path: str) -> Joint3:
     """Read and validate a distribution file.
 
-    Non-finite and negative entries and total mass off 1 by more than
-    1e-9 are rejected; smaller deviations are renormalised away.
+    A file that is not UTF-8 JSON, non-finite, negative and out-of-float-
+    range entries, and total mass off 1 by more than 1e-9 are rejected as
+    ``InputFormatError``; smaller deviations are renormalised away.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at byte "
+            f"position {exc.start}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise InputFormatError(f"{path}: parse error: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path}: parse error: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: top level must be an object")
     missing = [k for k in REQUIRED_FIELDS if k not in doc]
@@ -114,7 +128,17 @@ def load_joint(path: str) -> Joint3:
         raise InputFormatError(
             f"{path}: probs has {len(probs)} entries, expected {nx * ny * nz}"
         )
-    arr = np.asarray(probs, dtype=float)
+    try:
+        arr = np.asarray(probs, dtype=float)
+    except OverflowError:
+        for i, v in enumerate(probs):
+            try:
+                float(v)
+            except OverflowError:
+                raise InputFormatError(
+                    f"{path}: integer entry at flat index {i} is out of the "
+                    "float range"
+                ) from None
     finite = np.isfinite(arr)
     if not np.all(finite):
         i = int(np.argmin(finite))
@@ -189,11 +213,36 @@ def _tokenize(expr: str):
 
 
 class _EventParser:
-    """Recursive-descent parser producing a predicate over label triples."""
+    """Recursive-descent parser that evaluates an event expression
+    straight to a boolean mask over the joint's cells.
 
-    def __init__(self, expr: str):
+    Every rule returns a numpy bool array that broadcasts against the
+    joint's (nx, ny, nz) shape. A variable is the integer code of each of
+    its axis labels' ``str(label)``, shaped to lie along its own axis; a
+    literal is the code of its string. Labels and literals share one code
+    table, so two codes are equal exactly when the strings are (numpy
+    ``U`` arrays would not do: they drop trailing NULs). ``and``/``or``
+    fold left in a loop, and ``not`` and parentheses may nest at most
+    ``MAX_EVENT_DEPTH`` levels, so no expression reaches Python's
+    recursion limit.
+    """
+
+    def __init__(self, expr: str, j: Joint3):
         self.tokens = _tokenize(expr)
         self.pos = 0
+        self.depth = 0
+        self.codes: dict[str, int] = {}
+        self.axes = {}
+        for axis, (var, labels) in enumerate(
+            zip("xyz", (j.x_labels, j.y_labels, j.z_labels))
+        ):
+            shape = [1, 1, 1]
+            shape[axis] = len(labels)
+            codes = [self._code(str(l)) for l in labels]
+            self.axes[var] = np.array(codes, dtype=np.intp).reshape(shape)
+
+    def _code(self, s: str) -> int:
+        return self.codes.setdefault(s, len(self.codes))
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -205,43 +254,53 @@ class _EventParser:
         self.pos += 1
         return tok
 
+    def _nest(self):
+        self.depth += 1
+        if self.depth > MAX_EVENT_DEPTH:
+            raise EventSyntaxError(
+                "event expression nested too deeply: more than "
+                f"{MAX_EVENT_DEPTH} levels of 'not' and parentheses"
+            )
+
     def parse(self):
-        fn = self._or()
+        mask = self._or()
         if self._peek() is not None:
             raise EventSyntaxError(
                 f"trailing tokens in event expression: {self.tokens[self.pos:]!r}"
             )
-        return fn
+        return mask
 
     def _or(self):
         left = self._and()
         while self._peek() == ("kw", "or"):
             self._next()
-            right = self._and()
-            left = (lambda l, r: lambda env: l(env) or r(env))(left, right)
+            left = left | self._and()
         return left
 
     def _and(self):
         left = self._not()
         while self._peek() == ("kw", "and"):
             self._next()
-            right = self._not()
-            left = (lambda l, r: lambda env: l(env) and r(env))(left, right)
+            left = left & self._not()
         return left
 
     def _not(self):
         if self._peek() == ("kw", "not"):
             self._next()
+            self._nest()
             inner = self._not()
-            return lambda env: not inner(env)
+            self.depth -= 1
+            return ~inner
         return self._atom()
 
     def _atom(self):
         if self._peek() == ("op", "("):
             self._next()
+            self._nest()
             inner = self._or()
             if self._next() != ("op", ")"):
                 raise EventSyntaxError("missing closing parenthesis")
+            self.depth -= 1
             return inner
         return self._comparison()
 
@@ -252,24 +311,22 @@ class _EventParser:
             raise EventSyntaxError(f"expected == or != after a term, got {op!r}")
         right = self._term()
         if op == "==":
-            return lambda env: left(env) == right(env)
-        return lambda env: left(env) != right(env)
+            return np.equal(left, right)
+        return np.not_equal(left, right)
 
     def _term(self):
         kind, val = self._next()
         if kind == "var":
-            return lambda env, v=val: env[v]
+            return self.axes[val]
         if kind == "lit":
-            return lambda env, v=val: v
+            return self._code(val)
         raise EventSyntaxError(f"expected a variable or literal, got {val!r}")
 
 
 def parse_event(expr: str, j: Joint3) -> EventMask:
     """Evaluate an event expression into a mask over the joint's cells."""
-    predicate = _EventParser(expr).parse()
-    return EventMask.from_predicate(
-        j, lambda x, y, z: predicate({"x": str(x), "y": str(y), "z": str(z)})
-    )
+    mask = _EventParser(expr, j).parse()
+    return EventMask(np.broadcast_to(mask, j.shape))
 
 
 # --- report assembly ---------------------------------------------------

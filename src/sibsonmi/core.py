@@ -520,7 +520,9 @@ class EventMask:
 
     @classmethod
     def from_predicate(cls, j: Joint3, fn: Callable) -> "EventMask":
-        """Build a mask from a predicate over label triples."""
+        """Build a mask from a Python predicate over label triples, calling
+        it once per cell. The CLI's ``--event`` does not come through here:
+        ``cli.parse_event`` evaluates the expression as array operations."""
         m = np.zeros(j.shape, dtype=bool)
         for ix, lx in enumerate(j.x_labels):
             for iy, ly in enumerate(j.y_labels):

@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sibsonmi.cli import (
     RunConfig,
@@ -17,7 +20,8 @@ from sibsonmi.cli import (
     save_joint,
 )
 import sibsonmi
-from sibsonmi.errors import EventSyntaxError, InputFormatError
+from sibsonmi.core import Joint3
+from sibsonmi.errors import EventSyntaxError, InputFormatError, SibsonmiError
 from sibsonmi.instances import reference_joint
 
 
@@ -111,6 +115,86 @@ class TestLoadJoint:
         with pytest.raises(InputFormatError, match="entries"):
             load_joint(write_doc(tmp_path, doc))
 
+    def test_non_utf8_byte_rejected_with_position(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        raw = json.dumps(base_doc()).encode()
+        path.write_bytes(raw.replace(b'"1"', b'"\xe9"', 1))
+        at = raw.index(b'"1"') + 1
+        with pytest.raises(InputFormatError, match=f"byte 0xe9 at byte position {at}$"):
+            load_joint(str(path))
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400)])
+    def test_out_of_range_integer_rejected(self, tmp_path, big):
+        doc = base_doc()
+        doc["probs"][5] = big
+        with pytest.raises(InputFormatError, match="flat index 5 is out of the float range"):
+            load_joint(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000 + "]" * 100_000, '{"probs": [' + "1" * 5000 + "]}"]
+    )
+    def test_unparseable_json_rejected(self, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match="parse error"):
+            load_joint(str(path))
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers(min_value=-(10**400), max_value=10**400)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_NEAR_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "x_labels": st.lists(st.text(max_size=3), max_size=3) | _JSON_VALUES,
+        "y_labels": st.lists(st.text(max_size=3), max_size=3) | _JSON_VALUES,
+        "z_labels": st.lists(st.text(max_size=3), max_size=3) | _JSON_VALUES,
+        "probs": st.lists(
+            st.floats(allow_nan=True) | st.integers(-(10**400), 10**400)
+            | st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0, 1]),
+            max_size=8,
+        )
+        | _JSON_VALUES,
+        "extra": _JSON_VALUES,
+    },
+)
+_DOC_BYTES = (
+    _NEAR_DOCS.map(lambda d: json.dumps(d).encode())
+    | _JSON_VALUES.map(lambda d: json.dumps(d).encode())
+    | st.tuples(st.sampled_from(sorted(base_doc())), _JSON_VALUES).map(
+        lambda kv: json.dumps({**base_doc(), kv[0]: kv[1]}).encode()
+    )
+    | st.binary(max_size=40)
+    | st.tuples(st.binary(max_size=3), st.integers(0, 150)).map(
+        lambda t: _splice(json.dumps(base_doc()).encode(), *t)
+    )
+)
+
+
+def _splice(raw, junk, at):
+    return raw[:at] + junk + raw[at + len(junk):]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=_DOC_BYTES)
+def test_load_joint_gives_joint_or_package_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            j = load_joint(path)
+        except SibsonmiError:
+            return
+    assert isinstance(j, Joint3)
+
 
 class TestEventParser:
     def test_diagonal(self, ref):
@@ -138,6 +222,113 @@ class TestEventParser:
     def test_syntax_errors(self, ref, bad):
         with pytest.raises(EventSyntaxError):
             parse_event(bad, ref)
+
+    def test_nesting_at_the_limit_parses(self, ref):
+        from sibsonmi.cli import MAX_EVENT_DEPTH
+
+        half = MAX_EVENT_DEPTH // 2
+        expr = "not " * half + "(" * (MAX_EVENT_DEPTH - half) + "x==y" + ")" * (MAX_EVENT_DEPTH - half)
+        assert parse_event(expr, ref).count() == 4
+        with pytest.raises(EventSyntaxError, match="nested too deeply"):
+            parse_event("not " + expr, ref)
+
+    def test_long_or_chain(self):
+        labels = tuple(str(i) for i in range(6))
+        j = Joint3(labels, labels, labels, np.full((6, 6, 6), 1 / 216))
+        terms = [f"z=='{i % 7}' and x!='{i % 5}'" for i in range(1500)]
+        e = parse_event(" or ".join(["x==y"] + terms), j)
+        expected = np.zeros((6, 6, 6), dtype=bool)
+        for ix in range(6):
+            for iy in range(6):
+                for iz in range(6):
+                    expected[ix, iy, iz] = ix == iy or any(
+                        iz == i % 7 and ix != i % 5 for i in range(1500)
+                    )
+        assert np.array_equal(e.mask, expected)
+
+    def test_labels_compare_as_exact_strings(self):
+        j = Joint3(("a", "a\x00"), (1, "01"), ("1.0", "é"), np.full((2, 2, 2), 1 / 8))
+        assert parse_event("x=='a'", j).mask[:, 0, 0].tolist() == [True, False]
+        assert parse_event("x=='a\x00'", j).mask[:, 0, 0].tolist() == [False, True]
+        assert parse_event("y=='1'", j).mask[0, :, 0].tolist() == [True, False]
+        assert parse_event("z=='1'", j).count() == 0
+        assert parse_event("z=='é'", j).mask[0, 0, :].tolist() == [False, True]
+
+
+# --- property: the mask evaluator against a per-cell reference -----------
+
+_LABEL_POOL = ["0", "1", "01", "1.0", "é", "a", "a\x00", "", "x"]
+_LABELS = st.sampled_from(_LABEL_POOL) | st.integers(-1, 11) | st.text(max_size=3)
+_AXIS = st.lists(_LABELS, min_size=1, max_size=3, unique_by=lambda l: (type(l), l))
+_LITERALS = (st.sampled_from(_LABEL_POOL) | st.text(max_size=3)).filter(
+    lambda s: "'" not in s or '"' not in s
+)
+_TERMS = st.sampled_from(["x", "y", "z"]) | _LITERALS.map(lambda s: ("lit", s))
+_COMPARISONS = st.tuples(st.just("cmp"), st.sampled_from(["==", "!="]), _TERMS, _TERMS)
+_TREES = st.recursive(
+    _COMPARISONS,
+    lambda inner: st.tuples(st.just("not"), inner)
+    | st.tuples(st.just("paren"), inner)
+    | st.tuples(st.sampled_from(["and", "or"]), inner, inner),
+    max_leaves=8,
+)
+_PRECEDENCE = {"or": 1, "and": 2, "not": 3, "paren": 4, "cmp": 4}
+
+
+def _render_term(t):
+    if isinstance(t, str):
+        return t
+    lit = t[1]
+    return f"'{lit}'" if "'" not in lit else f'"{lit}"'
+
+
+def _render(tree):
+    """Source text whose parse is ``tree``: parentheses only where needed,
+    plus the explicit ``paren`` nodes."""
+    kind = tree[0]
+    if kind == "cmp":
+        return f"{_render_term(tree[2])} {tree[1]} {_render_term(tree[3])}"
+    if kind == "paren":
+        return f"({_render(tree[1])})"
+    if kind == "not":
+        inner = _render(tree[1])
+        return f"not {inner}" if _PRECEDENCE[tree[1][0]] >= 3 else f"not ({inner})"
+    left, right = _render(tree[1]), _render(tree[2])
+    if _PRECEDENCE[tree[1][0]] < _PRECEDENCE[kind]:
+        left = f"({left})"
+    if _PRECEDENCE[tree[2][0]] <= _PRECEDENCE[kind]:
+        right = f"({right})"
+    return f"{left} {kind} {right}"
+
+
+def _evaluate(tree, env):
+    kind = tree[0]
+    if kind == "cmp":
+        a, b = (env[t] if isinstance(t, str) else t[1] for t in tree[2:])
+        return a == b if tree[1] == "==" else a != b
+    if kind == "paren":
+        return _evaluate(tree[1], env)
+    if kind == "not":
+        return not _evaluate(tree[1], env)
+    if kind == "and":
+        return _evaluate(tree[1], env) and _evaluate(tree[2], env)
+    return _evaluate(tree[1], env) or _evaluate(tree[2], env)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tree=_TREES, xs=_AXIS, ys=_AXIS, zs=_AXIS)
+def test_event_mask_matches_per_cell_reference(tree, xs, ys, zs):
+    shape = (len(xs), len(ys), len(zs))
+    j = Joint3(xs, ys, zs, np.full(shape, 1 / math.prod(shape)))
+    expected = np.zeros(shape, dtype=bool)
+    for ix, lx in enumerate(xs):
+        for iy, ly in enumerate(ys):
+            for iz, lz in enumerate(zs):
+                env = {"x": str(lx), "y": str(ly), "z": str(lz)}
+                expected[ix, iy, iz] = _evaluate(tree, env)
+    e = parse_event(_render(tree), j)
+    assert e.shape == shape
+    assert np.array_equal(e.mask, expected)
 
 
 class TestFmt:
@@ -442,6 +633,36 @@ def test_simulate_budget_zero_is_error_record(ref_path, capsys):
     record = _error_record(capsys)
     assert record["error"] == "ValidationError"
     assert record["message"] == "trials must be at least 1"
+
+
+@pytest.mark.parametrize(
+    "event", ["not " * 1200 + "x==y", "(" * 400 + "x==y" + ")" * 400]
+)
+def test_over_nested_event_is_error_record(ref_path, capsys, event):
+    assert main(["bound", "--input", ref_path, "--alpha", "2", "--event", event]) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "EventSyntaxError"
+    assert "nested too deeply" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (json.dumps(base_doc()).replace('"0"', '"\u00e9"', 1).encode("latin-1"),
+         "byte 0xe9 at byte position 15"),
+        (json.dumps(base_doc()).replace("0.0", str(10**400), 1).encode(),
+         "integer entry at flat index 2 is out of the float range"),
+        (json.dumps(base_doc()).replace("0.0", str(-(10**400)), 1).encode(),
+         "integer entry at flat index 2 is out of the float range"),
+    ],
+)
+def test_unreadable_input_is_error_record(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["measure", "--input", str(path), "--alpha", "2"]) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "InputFormatError"
+    assert record["message"].endswith(message)
 
 
 @pytest.mark.parametrize(

@@ -350,3 +350,13 @@ def test_z_reconstruction_property(weights):
     for z in np.flatnonzero(pz > 0):
         rebuilt[:, :, z] = (j.probs[:, :, z] / pz[z]) * pz[z]
     assert np.max(np.abs(rebuilt - j.probs)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=st.text(max_size=8) | st.sampled_from(["nan", "-inf", "1e400", "1_0", " 2 ", "0"]))
+def test_alpha_coerce_text_gives_order_or_validation_error(text):
+    try:
+        a = Alpha.coerce(text)
+    except ValidationError:
+        return
+    assert isinstance(a, Alpha) and a.value > 0
