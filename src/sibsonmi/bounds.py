@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MARKOV_TOL,
     Alpha,
     EventMask,
     Joint3,
@@ -62,13 +63,6 @@ def event_probability(j, e: EventMask) -> float:
     return float(j.probs[e.mask].sum())
 
 
-def _finite_at_least_one(a) -> Alpha:
-    a = Alpha.coerce(a)
-    if not a.is_finite or a.value < 1.0:
-        raise ValidationError("this bound needs a finite order >= 1")
-    return a
-
-
 def _report(which, a, lhs, rhs, vacuous=False, uninformative=False):
     return BoundReport(
         which=which,
@@ -81,23 +75,34 @@ def _report(which, a, lhs, rhs, vacuous=False, uninformative=False):
     )
 
 
+def _holder_bound(which, j: Joint3, e: EventMask, a, slice_mass, measure):
+    """P(E) against slice_mass(j, e)^((a-1)/a) e^((a-1)/a measure(j, a)).
+
+    The shared body of the two finite-order bounds, which differ only in
+    the slice-mass factor and the matching conditional measure.  Orders
+    must be finite and at least 1.
+    """
+    a = Alpha.coerce(a)
+    if not a.is_finite or a.value < 1.0:
+        raise ValidationError("this bound needs a finite order >= 1")
+    require_conformal(e, j)
+    av = a.value
+    uninformative = av <= 1.0 + UNINFORMATIVE_GAP
+    lhs = event_probability(j, e)
+    if av > 1 and not absolutely_continuous(j, markov_product(j)):
+        return _report(which, a, lhs, math.inf, vacuous=True, uninformative=uninformative)
+    frac = (av - 1.0) / av
+    rhs = slice_mass(j, e) ** frac * math.exp(frac * measure(j, a).value_nats)
+    return _report(which, a, lhs, rhs, uninformative=uninformative)
+
+
 def bound_thm3(j: Joint3, e: EventMask, a) -> BoundReport:
     """P(E) against (max_z product-mass of E_z)^((a-1)/a) e^((a-1)/a I^Z).
 
     The sup runs over reachable z of the mass the product measure
     P(x|z) P(y|z) assigns to the slice E_z.
     """
-    a = _finite_at_least_one(a)
-    require_conformal(e, j)
-    av = a.value
-    uninformative = av <= 1.0 + UNINFORMATIVE_GAP
-    lhs = event_probability(j, e)
-    if av > 1 and not absolutely_continuous(j, markov_product(j)):
-        return _report(THM3, a, lhs, math.inf, vacuous=True, uninformative=uninformative)
-    ess = _max_product_mass(j, e)
-    frac = (av - 1.0) / av
-    rhs = ess**frac * math.exp(frac * cond_sibson_z(j, a).value_nats)
-    return _report(THM3, a, lhs, rhs, uninformative=uninformative)
+    return _holder_bound(THM3, j, e, a, _max_product_mass, cond_sibson_z)
 
 
 def _max_product_mass(j: Joint3, e: EventMask) -> float:
@@ -122,17 +127,7 @@ def bound_thm1(j: Joint3, e: EventMask, a) -> BoundReport:
 
     The inner max runs over y with positive conditional mass given z.
     """
-    a = _finite_at_least_one(a)
-    require_conformal(e, j)
-    av = a.value
-    uninformative = av <= 1.0 + UNINFORMATIVE_GAP
-    lhs = event_probability(j, e)
-    if av > 1 and not absolutely_continuous(j, markov_product(j)):
-        return _report(THM1, a, lhs, math.inf, vacuous=True, uninformative=uninformative)
-    frac = (av - 1.0) / av
-    factor = _expected_slice_mass(j, e)
-    rhs = factor**frac * math.exp(frac * cond_sibson_ygz(j, a).value_nats)
-    return _report(THM1, a, lhs, rhs, uninformative=uninformative)
+    return _holder_bound(THM1, j, e, a, _expected_slice_mass, cond_sibson_ygz)
 
 
 def bound_cor_leakage(j: Joint3, e: EventMask) -> BoundReport:
@@ -160,9 +155,9 @@ def bound_cor_sdpi(j4: Joint4, e: EventMask, a, eta: float) -> BoundReport:
         raise ValidationError("the contraction bound needs a finite order > 1")
     if not 0.0 < eta <= 1.0 + 1e-9:
         raise ValidationError(f"eta must lie in (0, 1], got {eta!r}")
-    if not j4.is_markov_zw_x_y(1e-10):
+    if not j4.is_markov_zw_x_y():
         raise PreconditionError(
-            "joint does not factor as P(w,x,z) P(y|x) within 1e-10"
+            f"joint does not factor as P(w,x,z) P(y|x) within {MARKOV_TOL}"
         )
     wyz = j4.marginal_wyz()
     require_conformal(e, wyz)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import bound_cor_leakage, bound_thm1, bound_thm3
-from .core import Alpha, EventMask, Joint3, Kernel
+from .core import Alpha, EventMask, Joint3
 from .errors import (
     EventSyntaxError,
     InputFormatError,
@@ -633,6 +633,8 @@ def main(argv=None) -> int:
     try:
         if args.command != "selftest" and not args.input:
             raise ValidationError("--input is required")
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         config = RunConfig(
             command=args.command,
             input_path=args.input,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -26,15 +26,10 @@ from .errors import (
 )
 
 MASS_TOL = 1e-12
+MARKOV_TOL = 1e-10  # largest Markov-chain defect accepted as a factorisation
 DEFAULT_CELL_CAP = 10_000_000
 
 AXES = ("x", "y", "z")
-
-
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
-    a.flags.writeable = False
-    return a
 
 
 def _check_labels(labels, name: str) -> tuple:
@@ -55,7 +50,7 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         )
 
 
-def _check_mass(probs: np.ndarray, what: str, tol: float = MASS_TOL) -> None:
+def _check_mass(probs: np.ndarray, what: str) -> None:
     _check_finite(probs, what)
     if np.any(probs < 0):
         idx = np.unravel_index(int(np.argmin(probs)), probs.shape)
@@ -63,11 +58,33 @@ def _check_mass(probs: np.ndarray, what: str, tol: float = MASS_TOL) -> None:
             f"{what} violates nonnegativity: entry {idx} = {probs[idx]!r}"
         )
     total = float(probs.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > MASS_TOL:
         raise ValidationError(
             f"{what} violates normalisation: total mass {total!r} "
-            f"differs from 1 by more than {tol}"
+            f"differs from 1 by more than {MASS_TOL}"
         )
+
+
+def _labelled_probs(probs, *axes) -> tuple:
+    """Validate a probability array against its labelled axes.
+
+    ``axes`` holds one ``(name, labels)`` pair per array axis, ``name``
+    being what error messages call the labels.  Returns the checked
+    label tuples followed by one read-only float64 copy of ``probs``
+    (a pmf for one axis, a joint pmf for more).
+    """
+    labels = [_check_labels(symbols, name) for name, symbols in axes]
+    shape = tuple(map(len, labels))
+    p = np.array(probs, dtype=float)
+    if p.shape != shape:
+        raise ShapeMismatchError(
+            f"pmf needs {shape[0]} entries, got shape {p.shape}"
+            if len(shape) == 1
+            else f"joint needs shape {shape}, got {p.shape}"
+        )
+    _check_mass(p, "pmf" if len(shape) == 1 else "joint pmf")
+    p.flags.writeable = False
+    return (*labels, p)
 
 
 class Alpha:
@@ -172,15 +189,7 @@ class Pmf:
     __slots__ = ("labels", "probs")
 
     def __init__(self, labels: Iterable, probs):
-        self.labels = _check_labels(labels, "pmf labels")
-        p = np.array(probs, dtype=float)
-        if p.ndim != 1 or p.shape[0] != len(self.labels):
-            raise ShapeMismatchError(
-                f"pmf needs {len(self.labels)} entries, got shape {p.shape}"
-            )
-        _check_mass(p, "pmf")
-        p.flags.writeable = False
-        self.probs = p
+        self.labels, self.probs = _labelled_probs(probs, ("pmf labels", labels))
 
     def index(self, label) -> int:
         try:
@@ -210,17 +219,9 @@ class Joint2:
     __slots__ = ("x_labels", "y_labels", "probs")
 
     def __init__(self, x_labels: Iterable, y_labels: Iterable, probs):
-        self.x_labels = _check_labels(x_labels, "x_labels")
-        self.y_labels = _check_labels(y_labels, "y_labels")
-        p = np.array(probs, dtype=float)
-        if p.shape != (len(self.x_labels), len(self.y_labels)):
-            raise ShapeMismatchError(
-                f"joint needs shape {(len(self.x_labels), len(self.y_labels))},"
-                f" got {p.shape}"
-            )
-        _check_mass(p, "joint pmf")
-        p.flags.writeable = False
-        self.probs = p
+        self.x_labels, self.y_labels, self.probs = _labelled_probs(
+            probs, ("x_labels", x_labels), ("y_labels", y_labels)
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -364,18 +365,10 @@ class Joint3:
     __slots__ = ("x_labels", "y_labels", "z_labels", "probs", "_given_z")
 
     def __init__(self, x_labels, y_labels, z_labels, probs):
-        self.x_labels = _check_labels(x_labels, "x_labels")
-        self.y_labels = _check_labels(y_labels, "y_labels")
-        self.z_labels = _check_labels(z_labels, "z_labels")
-        p = np.array(probs, dtype=float)
-        expected = (len(self.x_labels), len(self.y_labels), len(self.z_labels))
-        if p.shape != expected:
-            raise ShapeMismatchError(
-                f"joint needs shape {expected}, got {p.shape}"
-            )
-        _check_mass(p, "joint pmf")
-        p.flags.writeable = False
-        self.probs = p
+        self.x_labels, self.y_labels, self.z_labels, self.probs = _labelled_probs(
+            probs, ("x_labels", x_labels), ("y_labels", y_labels),
+            ("z_labels", z_labels),
+        )
         self._given_z = None
 
     @property
@@ -604,24 +597,11 @@ class Joint4:
     __slots__ = ("w_labels", "x_labels", "y_labels", "z_labels", "probs")
 
     def __init__(self, w_labels, x_labels, y_labels, z_labels, probs):
-        self.w_labels = _check_labels(w_labels, "w_labels")
-        self.x_labels = _check_labels(x_labels, "x_labels")
-        self.y_labels = _check_labels(y_labels, "y_labels")
-        self.z_labels = _check_labels(z_labels, "z_labels")
-        p = np.array(probs, dtype=float)
-        expected = (
-            len(self.w_labels),
-            len(self.x_labels),
-            len(self.y_labels),
-            len(self.z_labels),
+        (self.w_labels, self.x_labels, self.y_labels, self.z_labels,
+         self.probs) = _labelled_probs(
+            probs, ("w_labels", w_labels), ("x_labels", x_labels),
+            ("y_labels", y_labels), ("z_labels", z_labels),
         )
-        if p.shape != expected:
-            raise ShapeMismatchError(
-                f"joint needs shape {expected}, got {p.shape}"
-            )
-        _check_mass(p, "joint pmf")
-        p.flags.writeable = False
-        self.probs = p
 
     @property
     def shape(self):
@@ -654,8 +634,8 @@ class Joint4:
         rebuilt = np.einsum("wxz,xy->wxyz", pwxz, k_y_given_x)
         return float(np.max(np.abs(self.probs - rebuilt)))
 
-    def is_markov_zw_x_y(self, tol: float = 1e-10) -> bool:
-        return self.markov_defect_zw_x_y() <= tol
+    def is_markov_zw_x_y(self) -> bool:
+        return self.markov_defect_zw_x_y() <= MARKOV_TOL
 
     def __repr__(self) -> str:
         return f"Joint4(shape={self.shape})"

@@ -125,23 +125,34 @@ def _check_grid(alpha_grid) -> np.ndarray:
     return grid
 
 
+def _grid_max(grid, value_at) -> GridMax:
+    """The first strict maximum of ``value_at`` over the order grid.
+
+    A point valued -inf never wins, so a grid with no better point
+    gives ``(-inf, nan)``.
+    """
+    best_v, best_a = -math.inf, float("nan")
+    for av in grid:
+        v = value_at(av)
+        if v > best_v:
+            best_v, best_a = v, float(av)
+    return GridMax(value=best_v, alpha=best_a)
+
+
 def ep_biconjugate(j: Joint3, e_q: float, alpha_grid=None) -> GridMax:
     """max over the order grid of ((1-a)/a) (I^Z - E_Q).
 
     The a = 1 point contributes exactly 0 (its factor vanishes);
     nonincreasing in ``e_q``.
     """
-    grid = _check_grid(alpha_grid)
-    best_v, best_a = -math.inf, float("nan")
-    for av in grid:
+
+    def value_at(av):
         if av == 1.0:
-            v = 0.0
-        else:
-            i = cond_sibson_z(j, Alpha(av)).value_nats
-            v = (1.0 - av) / av * (i - e_q)
-        if v > best_v:
-            best_v, best_a = v, float(av)
-    return GridMax(value=best_v, alpha=best_a)
+            return 0.0
+        i = cond_sibson_z(j, Alpha(av)).value_nats
+        return (1.0 - av) / av * (i - e_q)
+
+    return _grid_max(_check_grid(alpha_grid), value_at)
 
 
 def eq_biconjugate(j: Joint3, e_p: float, alpha_grid=None) -> GridMax:
@@ -151,16 +162,11 @@ def eq_biconjugate(j: Joint3, e_p: float, alpha_grid=None) -> GridMax:
     E_P = 0, where it contributes the order-1 value I(X;Y|Z);
     nonincreasing in ``e_p``.
     """
-    grid = _check_grid(alpha_grid)
-    best_v, best_a = -math.inf, float("nan")
-    for av in grid:
+
+    def value_at(av):
         if av == 1.0:
-            if e_p != 0.0:
-                continue
-            v = cond_sibson_z(j, Alpha.ONE).value_nats
-        else:
-            i = cond_sibson_z(j, Alpha(av)).value_nats
-            v = i - av / (1.0 - av) * e_p
-        if v > best_v:
-            best_v, best_a = v, float(av)
-    return GridMax(value=best_v, alpha=best_a)
+            return cond_sibson_z(j, Alpha.ONE).value_nats if e_p == 0.0 else -math.inf
+        i = cond_sibson_z(j, Alpha(av)).value_nats
+        return i - av / (1.0 - av) * e_p
+
+    return _grid_max(_check_grid(alpha_grid), value_at)

@@ -346,13 +346,16 @@ def _decay_report(
     Without a claim, the claim is the grid rate minus the margin, or
     +inf when the grid rate is infinite.  A structurally silent test is
     always certified; an infinite grid rate without that proof never
-    is, since exact zeros on the grid do not extrapolate off it.
+    is, since exact zeros on the grid do not extrapolate off it.  A NaN
+    claim raises ValidationError.
     """
     silent = _structurally_silent(test)
     grid_rate = er.rate_R
     unbounded = silent or math.isinf(grid_rate)
     if claimed_rate is not None:
         claimed = float(claimed_rate)
+        if math.isnan(claimed):
+            raise ValidationError("the claimed rate must be a number, got nan")
     else:
         claimed = math.inf if unbounded else grid_rate - RATE_MARGIN
     if unbounded:

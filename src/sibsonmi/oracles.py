@@ -132,9 +132,11 @@ def minimize_on_simplex(
 def _power_sums(p: np.ndarray, ms: np.ndarray, av: float) -> np.ndarray:
     """Row sums of p^a m^(1-a) over the cells, straight from the definition.
 
-    ``p`` is one measure on the cells and the rows of ``ms`` are measures
-    on the same cells.  A p = 0 cell adds nothing; an m = 0 cell against
-    p > 0 adds nothing below order 1 and makes its row +inf above it.
+    The rows of ``ms`` are measures on the cells; ``p`` is one measure
+    on the same cells, or a stack with one row per row of ``ms`` (the
+    paired Hellinger integrals of ``sdpi.contraction_search``).  A p = 0
+    cell adds nothing; an m = 0 cell against p > 0 adds nothing below
+    order 1 and makes its row +inf above it.
     """
     pos = p > 0
     hit = pos & (ms > 0)

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CELL_CAP, Alpha, Joint2, Joint4, Kernel
+from .core import DEFAULT_CELL_CAP, MARKOV_TOL, Alpha, Joint2, Joint4, Kernel
 from .errors import (
     InequalityViolation,
     PreconditionError,
     ResourceLimitError,
     ValidationError,
 )
+from .oracles import _power_sums
 from .sibson import cond_sibson_z, sibson_mi
 
 CHECK_TOL = 1e-9
@@ -53,22 +54,9 @@ class ContractionEstimate:
     discarded: int = 0  # sampled pairs dropped as not distinct
 
 
-def _hellinger_rows(ps: np.ndarray, qs: np.ndarray, av: float) -> np.ndarray:
-    """Row-wise sum p^a q^(1-a) with the usual zero conventions."""
-    pos = ps > 0
-    bad = pos & (qs <= 0)
-    safe = np.where(qs > 0, qs, 1.0)
-    terms = np.where(pos, ps**av * safe ** (1.0 - av), 0.0)
-    terms = np.where(bad, 0.0, terms)
-    out = terms.sum(axis=1)
-    if av > 1:
-        out[bad.any(axis=1)] = math.inf
-    return out
-
-
 def _pair_values(rows: np.ndarray, mus, nus, av):
-    d_in = _hellinger_rows(mus, nus, av)
-    d_out = _hellinger_rows(mus @ rows, nus @ rows, av)
+    d_in = _power_sums(mus, nus, av)
+    d_out = _power_sums(mus @ rows, nus @ rows, av)
     return d_in, d_out
 
 
@@ -141,8 +129,8 @@ def contraction_search(
 
     def score(rows, mu_b, nu_b):
         # stacked matrix-vector products, not one matrix product (see above)
-        d_i = _hellinger_rows(mu_b, nu_b, av)
-        d_o = _hellinger_rows(
+        d_i = _power_sums(mu_b, nu_b, av)
+        d_o = _power_sums(
             (mu_b[:, None] @ k.rows)[:, 0], (nu_b[:, None] @ k.rows)[:, 0], av
         )
         return np.where(lit_row[rows], _literal(d_i, d_o), _normalized(d_i, d_o))
@@ -209,9 +197,9 @@ def sdpi_conditional_check(
     a = Alpha.coerce(a)
     if not a.is_finite or a.value <= 1.0:
         raise ValidationError("the additive inequality needs a finite order > 1")
-    if not j4.is_markov_zw_x_y(1e-10):
+    if not j4.is_markov_zw_x_y():
         raise PreconditionError(
-            "joint does not factor as P(w,x,z) P(y|x) within 1e-10"
+            f"joint does not factor as P(w,x,z) P(y|x) within {MARKOV_TOL}"
         )
     lhs = cond_sibson_z(j4.marginal_wyz(), a).value_nats
     rhs = math.log(est.eta_ratio_lower) / (a.value - 1.0) + cond_sibson_z(

@@ -13,26 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    bound_cor_leakage,
-    bound_cor_sdpi,
-    bound_thm1,
-    bound_thm3,
-    event_probability,
-)
-from .core import (
-    Alpha,
-    EventMask,
-    Joint3,
-    Kernel,
-    absolutely_continuous,
-    conditional,
-    markov_product,
-    tensor_power,
-)
+from .bounds import bound_cor_leakage, bound_cor_sdpi, bound_thm1, bound_thm3
+from .core import Alpha, EventMask, Kernel, markov_product, tensor_power
 from .divergences import (
     hellinger_integral,
-    kl_divergence,
     renyi_divergence,
     renyi_limit_check,
 )
@@ -54,7 +38,6 @@ from .hyptest import (
 )
 from .instances import (
     asymmetric_joint,
-    copy_joint,
     random_joint2,
     random_joint3,
     random_kernel,
@@ -64,7 +47,7 @@ from .instances import (
     reference_joint,
     z_constant_joint,
 )
-from .oracles import cond_ygz_oracle, cond_z_oracle, sibson_mi_oracle
+from .oracles import cond_ygz_oracle, cond_z_oracle
 from .sdpi import (
     contraction_search,
     sdpi_conditional_check,
@@ -78,8 +61,6 @@ from .sibson import (
     conditional_mi,
     info_radius,
     lmgf_representation,
-    maximal_leakage,
-    shannon_mi,
     sibson_mi,
 )
 

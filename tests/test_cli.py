@@ -478,7 +478,8 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "flag, value", [("--tau", "nan"), ("--grid-step", "0"),
-                        ("--grid-step", "nan"), ("--grid-step", "2")]
+                        ("--grid-step", "nan"), ("--grid-step", "2"),
+                        ("--claimed-rate", "nan")]
     )
     def test_bad_simulate_value_is_error_record(self, ref_path, capsys, flag, value):
         args = ["simulate", "--input", ref_path, "--n", "2", "--tau", "0.5",
@@ -675,3 +676,18 @@ def test_unreadable_input_is_error_record(tmp_path, capsys, raw, message):
 def test_sampling_past_cell_cap_is_error_record(ref_path, capsys, args):
     assert main([*args, "--input", ref_path]) == 2
     assert _error_record(capsys)["error"] == "ResourceLimitError"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sdpi", "--budget", "10"],
+        ["selftest"],
+        ["simulate", "--n", "3", "--tau", "0.5", "--budget", "10"],
+    ],
+)
+def test_negative_seed_is_error_record(ref_path, capsys, args):
+    assert main([*args, "--input", ref_path, "--seed", "-1"]) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert record["message"] == "--seed must be nonnegative, got -1"

@@ -321,7 +321,7 @@ class TestJoint4:
             base.y_labels, ("a", "b"), rng.dirichlet(np.ones(2), size=3)
         )
         j4 = markov_extend(base, channel)
-        assert j4.is_markov_zw_x_y(1e-12)
+        assert j4.markov_defect_zw_x_y() <= 1e-12
         assert np.allclose(j4.marginal_wxz().probs, base.probs, atol=1e-12)
 
     def test_markov_defect_detects_violation(self, rng):

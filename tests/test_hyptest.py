@@ -319,6 +319,10 @@ class TestTheorem6:
         rep = theorem6_check(ref, t, Alpha.INFINITY, claimed_rate=0.5)
         assert rep.certified and rep.lhs <= rep.rhs + 1e-9
 
+    def test_rejects_nan_claim(self, ref):
+        with pytest.raises(ValidationError, match="claimed rate"):
+            theorem6_check(ref, threshold_test(ref, 0.5, 3), 2, claimed_rate=math.nan)
+
     def test_tensorization_consistency(self, ref):
         # the n-fold measure used implicitly by the bound equals n times
         # the single-letter value
@@ -356,6 +360,11 @@ class TestExponentSweep:
     def test_rejects_small_orders(self, ref):
         with pytest.raises(ValidationError):
             exponent_sweep(ref, threshold_test(ref, 0.5, 1), (0.5,), (1,))
+
+    def test_rejects_nan_claim(self, ref):
+        with pytest.raises(ValidationError, match="claimed rate"):
+            exponent_sweep(ref, threshold_test(ref, 0.5, 1), (2.0,), (1, 2),
+                           claimed_rate=math.nan)
 
 
 class TestSweepSharesDecayReport:
