@@ -41,6 +41,7 @@ from .exponents import (
     lambda_of_alpha,
 )
 from .hyptest import (
+    _checked_claim,
     _checked_decay_report,
     _order_above_one,
     exact_errors,
@@ -78,57 +79,34 @@ comparisons are exact string comparisons, for example
 
 REQUIRED_FIELDS = ("x_labels", "y_labels", "z_labels", "probs")
 LOAD_MASS_TOL = 1e-9
+# characters of ``probs`` decoded per json.loads call (a slice ends at a comma)
+_SLICE_CHARS = 1 << 16
+_JSON_WS = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
 
 
 def load_joint(path: str) -> Joint3:
     """Read and validate a distribution file.
 
+    The file is read as UTF-8 (CRLF line ends are accepted). A well-formed
+    file never holds one Python float per probability: ``probs`` is
+    decoded in comma-aligned slices of about 64 K characters into one
+    float64 array, so peak memory is about twice the file size (its bytes
+    and its decoded text) plus the arrays. Any other file is read again
+    as one JSON document, which gives every accepted file the same labels
+    and probabilities and every rejected one the same message.
+
     A file that is not UTF-8 JSON, non-finite, negative and out-of-float-
     range entries, and total mass off 1 by more than 1e-9 are rejected as
     ``InputFormatError``; smaller deviations are renormalised away.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(
-            f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at byte "
-            f"position {exc.start}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
-    except ValueError as exc:  # an integer literal past the digit limit
-        raise InputFormatError(f"{path}: parse error: {exc}") from exc
-    except RecursionError as exc:
-        raise InputFormatError(f"{path}: parse error: nested too deeply") from exc
-    if not isinstance(doc, dict):
-        raise InputFormatError(f"{path}: top level must be an object")
-    missing = [k for k in REQUIRED_FIELDS if k not in doc]
-    if missing:
-        raise InputFormatError(f"{path}: missing fields {missing}")
-    unknown = [k for k in doc if k not in REQUIRED_FIELDS]
-    if unknown:
-        raise InputFormatError(f"{path}: unknown fields {unknown}")
-    labels = {}
-    for key in ("x_labels", "y_labels", "z_labels"):
-        vals = doc[key]
-        if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
-            raise InputFormatError(f"{path}: field {key} must be an array of strings")
-        labels[key] = tuple(vals)
-    probs = doc["probs"]
-    if not isinstance(probs, list) or not set(map(type, probs)) <= {int, float}:
-        raise InputFormatError(f"{path}: field probs must be an array of numbers")
-    nx, ny, nz = (len(labels[k]) for k in ("x_labels", "y_labels", "z_labels"))
+    labels, probs = _read_sliced(path) or _read_whole(path)
+    nx, ny, nz = map(len, labels)
     if len(probs) != nx * ny * nz:
         raise InputFormatError(
             f"{path}: probs has {len(probs)} entries, expected {nx * ny * nz}"
         )
-    try:
+    try:  # no copy of the sliced reader's array; only a list can overflow
         arr = np.asarray(probs, dtype=float)
     except OverflowError:
         for i, v in enumerate(probs):
@@ -158,12 +136,134 @@ def load_joint(path: str) -> Joint3:
             f"{LOAD_MASS_TOL}"
         )
     arr = arr / total
-    return Joint3(
-        labels["x_labels"],
-        labels["y_labels"],
-        labels["z_labels"],
-        arr.reshape(nx, ny, nz),
-    )
+    return Joint3(*labels, arr.reshape(nx, ny, nz))
+
+
+def _read_sliced(path: str):
+    """``(labels, probs array)`` of a well-formed file, else None.
+
+    The top-level object must hold the required fields and no other (a
+    repeated field keeps its last value, as with ``json.load``), labels
+    must be arrays of strings and ``probs`` a flat array of numbers
+    within the float range. Whatever departs from that returns
+    None and is left to ``_read_whole``, which reports it. ``\\r`` may
+    stay untranslated: JSON takes it as whitespace and rejects it raw
+    inside strings, as after newline translation.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        text = raw.decode("utf-8")
+        del raw
+        return _walk_fields(text)
+    except (OSError, ValueError, OverflowError, RecursionError):
+        return None
+
+
+def _skip_to(text: str, pos: int, char: str) -> int:
+    """Index just past ``char``, which must follow JSON whitespace at ``pos``."""
+    pos = _JSON_WS.match(text, pos).end()
+    if not text.startswith(char, pos):
+        raise ValueError(f"expected {char!r} at character {pos}")
+    return pos + 1
+
+
+def _walk_fields(text: str):
+    """Labels and probs array of the top-level object in ``text``;
+    ValueError on anything ``_read_sliced`` leaves to ``_read_whole``."""
+    fields = {}
+    pos = _skip_to(text, 0, "{")
+    while len(fields) < len(REQUIRED_FIELDS):
+        if fields:
+            pos = _skip_to(text, pos, ",")
+        key, pos = json.decoder.scanstring(text, _skip_to(text, pos, '"'))
+        if key not in REQUIRED_FIELDS:
+            raise ValueError(f"unknown field {key!r}")
+        pos = _JSON_WS.match(text, _skip_to(text, pos, ":")).end()
+        decode = _decode_probs if key == "probs" else _DECODER.raw_decode
+        fields[key], pos = decode(text, pos)
+    pos = _skip_to(text, pos, "}")
+    if _JSON_WS.match(text, pos).end() != len(text):
+        raise ValueError("data after the top-level object")
+    labels = tuple(fields[k] for k in REQUIRED_FIELDS[:3])
+    for vals in labels:
+        if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
+            raise ValueError("labels must be arrays of strings")
+    return tuple(map(tuple, labels)), fields["probs"]
+
+
+def _decode_probs(text: str, pos: int):
+    """Decode the flat number array at ``pos`` slice by slice into one
+    float64 array preallocated from the comma count; return it and the
+    index past its closing bracket.
+
+    The array ends at the first ``]``: a string or nested array inside
+    it leaves a slice that does not parse or holds a non-number, and an
+    empty element leaves fewer numbers than commas allow.
+    """
+    lo = _skip_to(text, pos, "[")
+    end = text.find("]", lo)
+    if end < 0:
+        raise ValueError("unterminated probs array")
+    probs = np.empty(text.count(",", lo, end) + 1)
+    filled = 0
+    while True:
+        hi = text.find(",", min(lo + _SLICE_CHARS, end), end)
+        if hi < 0:
+            hi = end
+        values = json.loads("[" + text[lo:hi] + "]")
+        if not set(map(type, values)) <= {int, float}:
+            raise ValueError("probs holds a non-number")
+        probs[filled:filled + len(values)] = values
+        filled += len(values)
+        if hi == end:
+            break
+        lo = hi + 1
+    if filled != len(probs):
+        raise ValueError("probs has an empty element")
+    return probs, end + 1
+
+
+def _read_whole(path: str):
+    """``(labels, probs list)`` through one ``json.load`` of the whole
+    document, with every rejection reported as ``InputFormatError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at byte "
+            f"position {exc.start}"
+        ) from exc
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}"
+        ) from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise InputFormatError(f"{path}: parse error: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path}: parse error: nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{path}: top level must be an object")
+    missing = [k for k in REQUIRED_FIELDS if k not in doc]
+    if missing:
+        raise InputFormatError(f"{path}: missing fields {missing}")
+    unknown = [k for k in doc if k not in REQUIRED_FIELDS]
+    if unknown:
+        raise InputFormatError(f"{path}: unknown fields {unknown}")
+    labels = []
+    for key in REQUIRED_FIELDS[:3]:
+        vals = doc[key]
+        if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
+            raise InputFormatError(f"{path}: field {key} must be an array of strings")
+        labels.append(tuple(vals))
+    probs = doc["probs"]
+    if not isinstance(probs, list) or not set(map(type, probs)) <= {int, float}:
+        raise InputFormatError(f"{path}: field probs must be an array of numbers")
+    return tuple(labels), probs
 
 
 def save_joint(j: Joint3, path: str) -> None:
@@ -371,11 +471,17 @@ class Report:
 
 
 def _digest(path: str) -> str:
+    # hashed in 1 MiB blocks: freeing a whole-file buffer raises glibc's
+    # mmap threshold, so the file-sized buffers load_joint reads next
+    # would stay resident after they are freed
+    digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    return digest.hexdigest()
 
 
 @dataclass
@@ -503,6 +609,7 @@ def _cmd_simulate(config: RunConfig, rep: Report) -> int:
         "certified", "halfwidth", "pass",
     )
     alphas = [_order_above_one(a) for a in config.alphas]
+    _checked_claim(config.claimed_rate)
     er = exact_errors(j, test, qz_grid_step=step)
     checks = [_checked_decay_report(j, test, a, er, config.claimed_rate)
               for a in alphas]

@@ -338,6 +338,17 @@ def _structurally_silent(test: ThresholdTest) -> bool:
     return finite.size == 0 or float(finite.max()) < test.tau
 
 
+def _checked_claim(claimed_rate) -> float | None:
+    """The claimed rate as a float (None stays None); NaN raises
+    ValidationError."""
+    if claimed_rate is None:
+        return None
+    claimed = float(claimed_rate)
+    if math.isnan(claimed):
+        raise ValidationError("the claimed rate must be a number, got nan")
+    return claimed
+
+
 def _decay_report(
     test: ThresholdTest, a: Alpha, er: ErrorReport, i_z: float, claimed_rate
 ) -> Theorem6Report:
@@ -352,11 +363,8 @@ def _decay_report(
     silent = _structurally_silent(test)
     grid_rate = er.rate_R
     unbounded = silent or math.isinf(grid_rate)
-    if claimed_rate is not None:
-        claimed = float(claimed_rate)
-        if math.isnan(claimed):
-            raise ValidationError("the claimed rate must be a number, got nan")
-    else:
+    claimed = _checked_claim(claimed_rate)
+    if claimed is None:
         claimed = math.inf if unbounded else grid_rate - RATE_MARGIN
     if unbounded:
         certified = silent

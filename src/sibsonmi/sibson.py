@@ -76,9 +76,13 @@ def shannon_mi(jxy: Joint2) -> float:
 def conditional_mi(j: Joint3) -> float:
     """Shannon conditional mutual information I(X;Y|Z), in nats."""
     pz, _, cxy, cx, cy = j.conditionals_given_z()
-    prod = cx[:, :, None] * cy[:, None, :]
-    ratio = np.divide(cxy, prod, out=np.ones_like(prod), where=cxy > 0)
-    return float(np.sum(pz * np.sum(cxy * np.log(ratio), axis=(1, 2))))
+    # one ratio array, then its log and the terms in place: at 64x64x256
+    # three more temporaries would set the peak RSS of `measure`
+    terms = np.ones(cxy.shape)
+    np.divide(cxy, cx[:, :, None] * cy[:, None, :], out=terms, where=cxy > 0)
+    np.log(terms, out=terms)
+    terms *= cxy
+    return float(np.sum(pz * np.sum(terms, axis=(1, 2))))
 
 
 def sibson_mi(jxy: Joint2, a) -> MiReport:

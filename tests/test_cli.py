@@ -4,13 +4,17 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sibsonmi.cli as cli
 from sibsonmi.cli import (
+    LOAD_MASS_TOL,
+    REQUIRED_FIELDS,
     RunConfig,
     fmt,
     load_joint,
@@ -22,7 +26,7 @@ from sibsonmi.cli import (
 import sibsonmi
 from sibsonmi.core import Joint3
 from sibsonmi.errors import EventSyntaxError, InputFormatError, SibsonmiError
-from sibsonmi.instances import reference_joint
+from sibsonmi.instances import random_joint3, reference_joint
 
 
 @pytest.fixture
@@ -194,6 +198,277 @@ def test_load_joint_gives_joint_or_package_error(raw):
         except SibsonmiError:
             return
     assert isinstance(j, Joint3)
+
+
+# --- the sliced reader against the whole-document reader ------------------
+
+
+def _reference_load_joint(path: str) -> Joint3:
+    """``load_joint`` as one ``json.load`` of the whole document: the
+    reference the sliced reader must match."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at byte "
+            f"position {exc.start}"
+        ) from exc
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}"
+        ) from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise InputFormatError(f"{path}: parse error: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path}: parse error: nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{path}: top level must be an object")
+    missing = [k for k in REQUIRED_FIELDS if k not in doc]
+    if missing:
+        raise InputFormatError(f"{path}: missing fields {missing}")
+    unknown = [k for k in doc if k not in REQUIRED_FIELDS]
+    if unknown:
+        raise InputFormatError(f"{path}: unknown fields {unknown}")
+    labels = {}
+    for key in ("x_labels", "y_labels", "z_labels"):
+        vals = doc[key]
+        if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
+            raise InputFormatError(f"{path}: field {key} must be an array of strings")
+        labels[key] = tuple(vals)
+    probs = doc["probs"]
+    if not isinstance(probs, list) or not set(map(type, probs)) <= {int, float}:
+        raise InputFormatError(f"{path}: field probs must be an array of numbers")
+    nx, ny, nz = (len(labels[k]) for k in ("x_labels", "y_labels", "z_labels"))
+    if len(probs) != nx * ny * nz:
+        raise InputFormatError(
+            f"{path}: probs has {len(probs)} entries, expected {nx * ny * nz}"
+        )
+    try:
+        arr = np.asarray(probs, dtype=float)
+    except OverflowError:
+        for i, v in enumerate(probs):
+            try:
+                float(v)
+            except OverflowError:
+                raise InputFormatError(
+                    f"{path}: integer entry at flat index {i} is out of the "
+                    "float range"
+                ) from None
+    finite = np.isfinite(arr)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise InputFormatError(
+            f"{path}: non-finite entry {float(arr[i])!r} at flat index {i}"
+        )
+    if np.any(arr < 0):
+        i = int(np.argmin(arr))
+        raise InputFormatError(
+            f"{path}: negative entry {arr[i]!r} at flat index {i} "
+            "violates nonnegativity"
+        )
+    total = float(arr.sum())
+    if abs(total - 1.0) > LOAD_MASS_TOL:
+        raise InputFormatError(
+            f"{path}: total mass {total!r} deviates from 1 by more than "
+            f"{LOAD_MASS_TOL}"
+        )
+    arr = arr / total
+    return Joint3(
+        labels["x_labels"],
+        labels["y_labels"],
+        labels["z_labels"],
+        arr.reshape(nx, ny, nz),
+    )
+
+
+def _outcome(loader, path):
+    """Labels and probability bytes, or the error's type and message."""
+    try:
+        j = loader(path)
+    except SibsonmiError as exc:
+        return type(exc), str(exc)
+    return j.x_labels, j.y_labels, j.z_labels, j.probs.tobytes()
+
+
+def _assert_loaders_agree(path):
+    assert _outcome(load_joint, path) == _outcome(_reference_load_joint, path)
+
+
+_SPACE = st.sampled_from(["", " ", "\n", "\r\n", "\r", "\t", " \r\n  ", "\n\r"])
+# cells of mass 1/k for k = 1, 2, 4, 8, spelled as ints, decimals and exponents
+_SHARE = {
+    1: ["1", "1.0", "1e0", "10E-1", "1.0e+0"],
+    2: ["0.5", "5e-1", "0.50", "50E-2"],
+    4: ["0.25", "2.5e-1", "25e-2"],
+    8: ["0.125", "1.25E-1", "125e-3"],
+}
+_ZERO = ["0", "-0", "0.0", "-0.0", "0e5", "0E-3"]
+_ODD_ENTRIES = [
+    "NaN", "Infinity", "-Infinity", "1e999", "-1e999", str(10**400),
+    str(-(10**400)), "1" + "0" * 5000, '"0.5"', '"]"', "true", "false", "null",
+    "[0.5]", "[]", "{}", '{"a": 1}', "-0.25", "0.5000000001", "", "1 2", "0x1",
+    ".5", "+1", "\ufeff0",
+]
+
+
+def _one_in(n):
+    return st.sampled_from([True] + [False] * (n - 1))
+
+
+@st.composite
+def _documents(draw):
+    """Document bytes near the input format: a valid distribution spelled
+    with varied numbers and whitespace, then maybe one odd entry, odd
+    label value, repeated, dropped or extra field, reordering, BOM or
+    trailing junk."""
+    shape = [draw(st.integers(1, 3)) for _ in range(3)]
+    cells = math.prod(shape)
+    k = draw(st.sampled_from([s for s in _SHARE if s <= cells]))
+    mass = set(draw(st.permutations(range(cells)))[:k])
+    entries = [
+        draw(st.sampled_from(_SHARE[k] if i in mass else _ZERO))
+        for i in range(cells)
+    ]
+    if draw(_one_in(3)):
+        entries[draw(st.integers(0, cells - 1))] = draw(st.sampled_from(_ODD_ENTRIES))
+    if draw(_one_in(10)):
+        entries.append(draw(st.sampled_from(["0", ""])))
+    fields = [
+        (name, json.dumps(
+            [str(i) for i in range(n)] if draw(st.booleans())
+            else draw(st.lists(st.text(max_size=3), min_size=n, max_size=n,
+                               unique=True)),
+            ensure_ascii=draw(st.booleans()),
+        ))
+        for name, n in zip(REQUIRED_FIELDS[:3], shape)
+    ]
+    fields.append(("probs", "[" + ",".join(
+        draw(_SPACE) + e + draw(_SPACE) for e in entries
+    ) + "]"))
+    change = draw(st.sampled_from(
+        ["label", "repeat", "repeat-other", "drop", "extra"] + ["none"] * 5
+    ))
+    if change == "label":
+        i = draw(st.integers(0, 2))
+        fields[i] = (fields[i][0], draw(st.sampled_from(
+            ['"ab"', "[1]", "null", '["a", ["b"]]', '["a\rb"]', '["\r"]', "[" * 3000]
+        )))
+    elif change == "repeat":
+        fields.append(draw(st.sampled_from(fields)))
+    elif change == "repeat-other":
+        fields.append((REQUIRED_FIELDS[draw(st.integers(0, 3))], '["0"]'))
+    elif change == "drop":
+        del fields[draw(st.integers(0, 3))]
+    elif change == "extra":
+        fields.append(("extra", "1"))
+    fields = draw(st.permutations(fields))
+    text = draw(_SPACE) + "{" + ",".join(
+        draw(_SPACE) + json.dumps(key) + draw(_SPACE) + ":" + draw(_SPACE) + value
+        + draw(_SPACE)
+        for key, value in fields
+    ) + "}" + draw(_SPACE)
+    ending = draw(st.sampled_from(["junk", "bom", "cut"] + ["none"] * 17))
+    if ending == "junk":
+        text += draw(st.sampled_from(["x", "{}", ",", "]"]))
+    elif ending == "bom":
+        text = "\ufeff" + text
+    elif ending == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    return text.encode()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(raw=_documents(), slice_chars=st.sampled_from([1, 3, 8, 1 << 16]))
+def test_sliced_reader_matches_whole_document_reader(raw, slice_chars):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with mock.patch.object(cli, "_SLICE_CHARS", slice_chars):
+            _assert_loaders_agree(path)
+
+
+def _write_probs_body(tmp_path, shape, body):
+    doc = {k: [str(i) for i in range(n)] for k, n in zip(REQUIRED_FIELDS[:3], shape)}
+    text = json.dumps(doc)[:-1] + ', "probs": [' + body + "]}"
+    path = tmp_path / "body.json"
+    path.write_text(text)
+    return str(path)
+
+
+class TestProbsSlices:
+    @pytest.mark.parametrize("body", ["", " \r\n\t "])
+    def test_empty_body(self, tmp_path, body):
+        path = _write_probs_body(tmp_path, (1, 1, 1), body)
+        _assert_loaders_agree(path)
+        assert cli._read_sliced(path) is None
+
+    def test_one_element(self, tmp_path):
+        path = _write_probs_body(tmp_path, (1, 1, 1), "1")
+        _assert_loaders_agree(path)
+        assert cli._read_sliced(path)[1].tolist() == [1.0]
+
+    def test_body_of_exactly_one_slice(self, tmp_path, monkeypatch):
+        body = ",".join(["0.125"] * 8)
+        monkeypatch.setattr(cli, "_SLICE_CHARS", len(body))
+        path = _write_probs_body(tmp_path, (2, 2, 2), body)
+        _assert_loaders_agree(path)
+        assert cli._read_sliced(path)[1].tolist() == [0.125] * 8
+
+    def test_comma_at_slice_boundary(self, tmp_path, monkeypatch):
+        # every slice of 5 characters ends exactly on a comma
+        monkeypatch.setattr(cli, "_SLICE_CHARS", len("0.125"))
+        path = _write_probs_body(tmp_path, (2, 2, 2), ",".join(["0.125"] * 8))
+        _assert_loaders_agree(path)
+        assert cli._read_sliced(path)[1].tolist() == [0.125] * 8
+
+    @pytest.mark.parametrize("slice_chars", [1, 7, 64, 1 << 16])
+    def test_many_slices(self, tmp_path, monkeypatch, slice_chars):
+        monkeypatch.setattr(cli, "_SLICE_CHARS", slice_chars)
+        probs = np.random.default_rng(3).dirichlet(np.ones(1500))
+        body = ",\r\n ".join(map(repr, probs.tolist()))
+        path = _write_probs_body(tmp_path, (10, 10, 15), body)
+        _assert_loaders_agree(path)
+        assert cli._read_sliced(path)[1].tobytes() == probs.tobytes()
+
+
+# ru_maxrss of a child keeps the peak of the process that launched it
+# across exec, so the probe reads the peak of its own address space
+_RSS_PROBE = """
+import sys
+from sibsonmi.cli import load_joint
+
+def peak():
+    with open("/proc/self/status") as fh:
+        line = next(l for l in fh if l.startswith("VmHWM:"))
+    return int(line.split()[1]) * 1024
+
+before = peak()
+load_joint(sys.argv[1])
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads VmHWM from /proc"
+)
+def test_load_joint_peak_memory_is_about_twice_the_file(tmp_path):
+    path = tmp_path / "big.json"
+    save_joint(random_joint3(np.random.default_rng(0), (64, 64, 64)), str(path))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sibsonmi.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, str(path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    growth, size = int(done.stdout), path.stat().st_size
+    assert growth <= 2.25 * size, f"peak RSS grew {growth / size:.2f}x the file size"
 
 
 class TestEventParser:
@@ -489,6 +764,18 @@ class TestCommands:
         assert out == ""
         (line,) = err.splitlines()
         assert json.loads(line)["error"] == "ValidationError"
+
+    def test_nan_claim_without_alpha_is_error_record(self, ref_path, capsys):
+        args = ["simulate", "--input", ref_path, "--n", "2", "--tau", "0.5",
+                "--claimed-rate", "nan"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "ValidationError",
+            "message": "the claimed rate must be a number, got nan",
+        }
 
     def test_alpha_one_point_zero_is_order_one(self, ref_path, tmp_path):
         outs = []
