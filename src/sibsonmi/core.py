@@ -164,7 +164,10 @@ class Alpha:
             return "one"
         if self.is_inf:
             return "inf"
-        return f"{self.value:g}"
+        # the short form only where it reads back as the same order, so
+        # distinct orders never share a label
+        short = f"{self.value:g}"
+        return short if float(short) == self.value else repr(self.value)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Alpha) and self.value == other.value
@@ -199,12 +202,6 @@ class Pmf:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def allclose(self, other: "Pmf", tol: float = MASS_TOL) -> bool:
-        return (
-            self.labels == other.labels
-            and bool(np.all(np.abs(self.probs - other.probs) <= tol))
-        )
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -297,19 +294,6 @@ class Kernel:
         if np.any((m > 0) & ~self.reachable):
             raise ValidationError("input puts mass on an unreachable row")
         return m @ self.rows
-
-    def compose(self, second: "Kernel") -> "Kernel":
-        """This kernel followed by ``second``."""
-        if second.in_labels != self.out_labels:
-            raise ShapeMismatchError("kernels do not chain")
-        if not np.all(second.reachable):
-            raise ValidationError("second kernel has unreachable rows")
-        return Kernel(
-            self.in_labels,
-            second.out_labels,
-            self.rows @ second.rows,
-            self.reachable,
-        )
 
     def __repr__(self) -> str:
         return f"Kernel({len(self.in_labels)}x{len(self.out_labels)})"

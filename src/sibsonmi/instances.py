@@ -25,14 +25,6 @@ def reference_joint() -> Joint3:
     return Joint3(_labels(2), _labels(2), _labels(2), probs)
 
 
-def copy_joint(m: int = 2) -> Joint3:
-    """X = Y = Z uniform over m symbols."""
-    probs = np.zeros((m, m, m))
-    for i in range(m):
-        probs[i, i, i] = 1.0 / m
-    return Joint3(_labels(m), _labels(m), _labels(m), probs)
-
-
 def z_constant_joint(jxy: Joint2) -> Joint3:
     """Embed a two-way joint as a Joint3 with a single Z symbol."""
     return Joint3(

@@ -55,8 +55,11 @@ class ContractionEstimate:
 
 
 def _pair_values(rows: np.ndarray, mus, nus, av):
-    d_in = _power_sums(mus, nus, av)
-    d_out = _power_sums(mus @ rows, nus @ rows, av)
+    # a cell whose m^(1-a) overflows against an underflowing p^a makes
+    # its sum NaN; _scored then counts the pair as unscored
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_in = _power_sums(mus, nus, av)
+        d_out = _power_sums(mus @ rows, nus @ rows, av)
     return d_in, d_out
 
 
@@ -78,6 +81,42 @@ def _normalized(d_in, d_out):
     return r
 
 
+def _scored(r):
+    # a NaN score (see _pair_values) is unscored: below every scored pair
+    r[np.isnan(r)] = -math.inf
+    return r
+
+
+def _sampled_starts(k: Kernel, av: float, budget: int, seed: int):
+    """One kernel's sampling pass, reduced to what the ascent needs.
+
+    Returns the ascent starts as ``mu`` and ``nu`` rows (the ten best
+    pairs of the literal ratio, then the ten best of the normalised
+    one), a mask of the literal-ratio starts, both sampled maxima and
+    the discarded count; the ``budget`` sampled pairs themselves are
+    dropped on return.
+    """
+    d = len(k.in_labels)
+    rng = np.random.default_rng(seed)
+    mus = rng.dirichlet(np.ones(d), size=budget)
+    nus = rng.dirichlet(np.ones(d), size=budget)
+    distinct = np.max(np.abs(mus - nus), axis=1) > 1e-12
+    mus, nus = mus[distinct], nus[distinct]
+    d_in, d_out = _pair_values(k.rows, mus, nus, av)
+    lit = _scored(_literal(d_in, d_out))
+    norm = _scored(_normalized(d_in, d_out))
+    top_lit, top_norm = np.argsort(lit)[-10:], np.argsort(norm)[-10:]
+    top = np.concatenate((top_lit, top_norm))
+    return (
+        mus[top],
+        nus[top],
+        np.arange(len(top)) < len(top_lit),
+        float(np.max(lit, initial=0.0)),
+        float(np.max(norm, initial=0.0)),
+        budget - len(mus),
+    )
+
+
 def contraction_search(
     k: Kernel, a, budget: int = 10_000, seed: int = 0
 ) -> ContractionEstimate:
@@ -86,78 +125,113 @@ def contraction_search(
     Maximises both ratio functionals over (mu, nu) on the input simplex
     and returns the best values found together with the witness pairs.
     The results are lower bounds on the respective suprema and are
-    bit-for-bit reproducible for a given seed and budget.  ``budget``
-    Dirichlet pairs are scored in one vectorised pass; the ten best
-    pairs of each functional then start a coordinate ascent.  All starts
-    run as one batch in lockstep: every move (side mu then nu,
-    coordinate, sign + then -) is one array evaluation, and each start
-    takes it only where it improves its own value by more than 1e-15, so
-    every start follows the moves it would follow alone.  The batch
-    pushes each input through the kernel as a stacked (1, d) @ (d, m)
-    product, since a (B, d) @ (d, m) product can round differently and
-    the witnesses must not depend on the batch.  budget * max(d, m)
-    above DEFAULT_CELL_CAP raises ResourceLimitError before sampling, so
-    neither the sampled inputs nor their images pass the cap.
+    bit-for-bit reproducible for a given seed and budget.  This is
+    ``contraction_searches`` on one kernel; see there for the method.
+    """
+    return contraction_searches([k], a, budget, [seed])[0]
+
+
+def contraction_searches(
+    kernels, a, budget: int, seeds
+) -> list[ContractionEstimate]:
+    """``contraction_search`` on several kernels of one (d, m) shape at once.
+
+    Estimate i is bit-identical in every field to
+    ``contraction_search(kernels[i], a, budget, seeds[i])``.  Each kernel
+    has its own sampling pass: ``budget`` Dirichlet pairs seeded by its
+    seed, scored in one vectorised pass, of which only the ten best
+    pairs of each functional (the ascent starts), the two sampled maxima
+    and the discarded count are kept, so memory stays at one search's
+    worth.  All kernels' starts then run one coordinate ascent in
+    lockstep: every move (side mu then nu, coordinate, sign + then -) is
+    one array evaluation, and each start takes it only where it improves
+    its own value by more than 1e-15, so every start follows the moves
+    it would follow alone.  Each start pushes its inputs through its own
+    kernel as a stacked (1, d) @ (d, m) product, since a (B, d) @ (d, m)
+    product can round differently and the witnesses must not depend on
+    the batch; a single kernel is the shared operand of every product.
+    A kernel's ``ascent_sweeps`` counts the sweeps in which it still had
+    a live start (one that improved in every sweep before).
+    budget * max(d, m) above DEFAULT_CELL_CAP raises ResourceLimitError
+    before sampling, so neither the sampled inputs nor their images pass
+    the cap.
     """
     a = Alpha.coerce(a)
     if not a.is_finite or a.value <= 1.0:
         raise ValidationError("contraction search needs a finite order > 1")
     if budget < 1:
         raise ValidationError("budget must be at least 1")
-    if not np.all(k.reachable):
+    kernels, seeds = list(kernels), list(seeds)
+    if len(seeds) != len(kernels):
+        raise ValidationError(
+            f"{len(kernels)} kernels need as many seeds, got {len(seeds)}"
+        )
+    if not kernels:
+        return []
+    shape = kernels[0].rows.shape
+    if any(k.rows.shape != shape for k in kernels):
+        raise ValidationError("batched contraction searches need one kernel shape")
+    if not all(np.all(k.reachable) for k in kernels):
         raise ValidationError("contraction search needs fully reachable rows")
     av = a.value
-    d, m = len(k.in_labels), len(k.out_labels)
+    d, m = shape
     if budget * max(d, m) > DEFAULT_CELL_CAP:
         raise ResourceLimitError(
             f"budget {budget} over {d} inputs and {m} outputs passes the "
             f"{DEFAULT_CELL_CAP}-cell cap"
         )
-    rng = np.random.default_rng(seed)
-    mus = rng.dirichlet(np.ones(d), size=budget)
-    nus = rng.dirichlet(np.ones(d), size=budget)
-    distinct = np.max(np.abs(mus - nus), axis=1) > 1e-12
-    mus, nus = mus[distinct], nus[distinct]
-    d_in, d_out = _pair_values(k.rows, mus, nus, av)
-    lit = _literal(d_in, d_out)
-    norm = _normalized(d_in, d_out)
+    mus, nus, lit_rows, lit_maxes, norm_maxes, discards = zip(
+        *(_sampled_starts(k, av, budget, s) for k, s in zip(kernels, seeds))
+    )
+    mu, nu, lit_row = map(np.concatenate, (mus, nus, lit_rows))
+    owner = np.repeat(np.arange(len(kernels)), [len(r) for r in lit_rows])
+    if len(kernels) == 1:
+        shared = kernels[0].rows
 
-    top_lit, top_norm = np.argsort(lit)[-10:], np.argsort(norm)[-10:]
-    top = np.concatenate((top_lit, top_norm))
-    lit_row = np.arange(len(top)) < len(top_lit)
-    mu, nu = mus[top], nus[top]
+        def through(rows, x):
+            return (x[:, None] @ shared)[:, 0]
+
+    else:
+        per_row = np.stack([k.rows for k in kernels])[owner]
+
+        def through(rows, x):
+            return (x[:, None] @ per_row[rows])[:, 0]
 
     def score(rows, mu_b, nu_b):
         # stacked matrix-vector products, not one matrix product (see above)
         d_i = _power_sums(mu_b, nu_b, av)
-        d_o = _power_sums(
-            (mu_b[:, None] @ k.rows)[:, 0], (nu_b[:, None] @ k.rows)[:, 0], av
-        )
+        d_o = _power_sums(through(rows, mu_b), through(rows, nu_b), av)
         return np.where(lit_row[rows], _literal(d_i, d_o), _normalized(d_i, d_o))
 
-    val = score(slice(None), mu, nu)
-    live = np.ones(len(val), dtype=bool)
-    sweeps = 0
-    while sweeps < 100 and live.any():
-        delta = (0.1, 0.03, 0.01, 0.003, 0.001)[min(sweeps // 20, 4)]
-        sweeps += 1
-        rows = np.flatnonzero(live)
-        improved = np.zeros(len(rows), dtype=bool)
-        for side in (mu, nu):
-            for i in range(d):
-                for step in (delta, -delta):
-                    cand = side[rows]
-                    cand[:, i] = np.maximum(cand[:, i] + step, _ASCENT_FLOOR)
-                    cand /= cand.sum(axis=1, keepdims=True)
-                    if side is mu:
-                        trial = score(rows, cand, nu[rows])
-                    else:
-                        trial = score(rows, mu[rows], cand)
-                    take = trial > val[rows] + 1e-15
-                    side[rows[take]] = cand[take]
-                    val[rows[take]] = trial[take]
-                    improved |= take
-        live[rows] = improved
+    # NaN scores count as unscored (see _pair_values), so the warnings
+    # that come with them are noise.  A NaN trial is never taken, like a
+    # -inf one, so only the starting values need the mask.
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = _scored(score(slice(None), mu, nu))
+        live = np.ones(len(val), dtype=bool)
+        sweeps = np.zeros(len(kernels), dtype=int)
+        sweep = 0
+        while sweep < 100 and live.any():
+            delta = (0.1, 0.03, 0.01, 0.003, 0.001)[min(sweep // 20, 4)]
+            sweep += 1
+            rows = np.flatnonzero(live)
+            sweeps[owner[rows]] = sweep  # live now means live in every sweep before
+            improved = np.zeros(len(rows), dtype=bool)
+            for side in (mu, nu):
+                for i in range(d):
+                    for step in (delta, -delta):
+                        cand = side[rows]
+                        cand[:, i] = np.maximum(cand[:, i] + step, _ASCENT_FLOOR)
+                        cand /= cand.sum(axis=1, keepdims=True)
+                        if side is mu:
+                            trial = score(rows, cand, nu[rows])
+                        else:
+                            trial = score(rows, mu[rows], cand)
+                        take = trial > val[rows] + 1e-15
+                        side[rows[take]] = cand[take]
+                        val[rows[take]] = trial[take]
+                        improved |= take
+            live[rows] = improved
 
     def best(rows):
         best_val, best_pair = -math.inf, None
@@ -166,21 +240,39 @@ def contraction_search(
                 best_val, best_pair = float(val[r]), (mu[r].copy(), nu[r].copy())
         return best_val, best_pair
 
-    lit_best, lit_wit = best(np.flatnonzero(lit_row))
-    norm_best, norm_wit = best(np.flatnonzero(~lit_row))
-    lit_best = max(lit_best, float(np.max(lit, initial=0.0)))
-    norm_best = max(norm_best, float(np.max(norm, initial=0.0)), 0.0)
-    return ContractionEstimate(
-        alpha=a,
-        eta_normalized=norm_best,
-        eta_ratio_lower=lit_best,
-        witness_normalized=norm_wit,
-        witness_ratio=lit_wit,
-        budget=budget,
-        seed=seed,
-        ascent_sweeps=sweeps,
-        discarded=int(np.count_nonzero(~distinct)),
-    )
+    out = []
+    for i, (seed, lit_max, norm_max, discarded) in enumerate(
+        zip(seeds, lit_maxes, norm_maxes, discards)
+    ):
+        mine = owner == i
+        lit_best, lit_wit = best(np.flatnonzero(mine & lit_row))
+        norm_best, norm_wit = best(np.flatnonzero(mine & ~lit_row))
+        out.append(
+            ContractionEstimate(
+                alpha=a,
+                eta_normalized=max(norm_best, norm_max, 0.0),
+                eta_ratio_lower=max(lit_best, lit_max),
+                witness_normalized=norm_wit,
+                witness_ratio=lit_wit,
+                budget=budget,
+                seed=seed,
+                ascent_sweeps=int(sweeps[i]),
+                discarded=discarded,
+            )
+        )
+    return out
+
+
+def _log_eta(est: ContractionEstimate, a: Alpha) -> float:
+    # at a large enough order the sampled integrals overflow and leave
+    # no usable estimate (0 or +inf); say so instead of failing in math.log
+    eta = est.eta_ratio_lower
+    if not 0.0 < eta < math.inf:
+        raise ValidationError(
+            f"the contraction estimate at order {a} is {eta!r}, not a "
+            "positive finite number; the order is too large for the search"
+        )
+    return math.log(eta)
 
 
 def sdpi_conditional_check(
@@ -201,8 +293,9 @@ def sdpi_conditional_check(
         raise PreconditionError(
             f"joint does not factor as P(w,x,z) P(y|x) within {MARKOV_TOL}"
         )
+    log_eta = _log_eta(est, a)
     lhs = cond_sibson_z(j4.marginal_wyz(), a).value_nats
-    rhs = math.log(est.eta_ratio_lower) / (a.value - 1.0) + cond_sibson_z(
+    rhs = log_eta / (a.value - 1.0) + cond_sibson_z(
         j4.marginal_wxz(), a
     ).value_nats
     if lhs > rhs + CHECK_TOL:
@@ -234,8 +327,9 @@ def sdpi_unconditional_check(
         raise ValidationError("joint puts mass on an unreachable channel row")
     p_wy = np.einsum("xy,xw->wy", jxy.probs, channel_wx.rows)
     jwy = Joint2(channel_wx.out_labels, jxy.y_labels, p_wy)
+    log_eta = _log_eta(est, a)
     lhs = sibson_mi(jwy, a).value_nats
-    rhs = math.log(est.eta_ratio_lower) / (a.value - 1.0) + sibson_mi(
+    rhs = log_eta / (a.value - 1.0) + sibson_mi(
         jxy, a
     ).value_nats
     if lhs > rhs + CHECK_TOL:

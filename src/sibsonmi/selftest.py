@@ -16,6 +16,7 @@ import numpy as np
 from .bounds import bound_cor_leakage, bound_cor_sdpi, bound_thm1, bound_thm3
 from .core import Alpha, EventMask, Kernel, markov_product, tensor_power
 from .divergences import (
+    _hellinger_rows,
     hellinger_integral,
     renyi_divergence,
     renyi_limit_check,
@@ -50,6 +51,7 @@ from .instances import (
 from .oracles import cond_ygz_oracle, cond_z_oracle
 from .sdpi import (
     contraction_search,
+    contraction_searches,
     sdpi_conditional_check,
     sdpi_unconditional_check,
 )
@@ -160,14 +162,23 @@ def run_selftest(seed: int = 0) -> list[CheckRow]:
     rows.append(_row("div.hellinger_consistent", worst <= 1e-9, f"max gap {_fmt(worst)}"))
 
     rng = _rng(seed, 7)
-    worst = -math.inf
-    for _ in range(2500):
-        k = random_kernel(rng, 3, 3)
-        mu = random_pmf(rng, 3).probs
-        nu = random_pmf(rng, 3).probs
-        for a in (1.5, 2.0, 4.0, 8.0):
-            gap = hellinger_integral(k.apply(mu), k.apply(nu), a) - hellinger_integral(mu, nu, a)
-            worst = max(worst, gap)
+    # the draws of random_kernel(rng, 3, 3) and two random_pmf(rng, 3)
+    # per instance, in that order; all instances are priced as one batch
+    ks, mus, nus = np.empty((2500, 3, 3)), np.empty((2500, 3)), np.empty((2500, 3))
+    for i in range(2500):
+        ks[i] = rng.dirichlet(np.ones(3), size=3)
+        mus[i] = rng.dirichlet(np.ones(3))
+        nus[i] = rng.dirichlet(np.ones(3))
+    k_mus, k_nus = (mus[:, None] @ ks)[:, 0], (nus[:, None] @ ks)[:, 0]
+    gaps = np.stack(
+        [
+            _hellinger_rows(k_mus, k_nus, a) - _hellinger_rows(mus, nus, a)
+            for a in (1.5, 2.0, 4.0, 8.0)
+        ],
+        axis=1,
+    )
+    # Python max in instance-major order, as one instance at a time would take it
+    worst = max([-math.inf, *gaps.ravel().tolist()])
     rows.append(_row("div.hellinger_dpi", worst <= 1e-12, f"max violation {_fmt(worst)}"))
 
     rng = _rng(seed, 8)
@@ -364,31 +375,35 @@ def run_selftest(seed: int = 0) -> list[CheckRow]:
     rows.append(_row("sdpi.search_deterministic", ok))
 
     rng = _rng(seed, 20)
+    chains = [random_markov_joint4(rng, (2, 2, 2, 2)) for _ in range(20)]
+    seeds = [seed + i for i in range(20)]
+    orders = (1.5, 2.0, 4.0)
+    ests = {
+        a: contraction_searches([ch for _, ch in chains], a, 1500, seeds)
+        for a in orders
+    }
     ok = True
     detail = ""
-    for i in range(20):
-        j4, channel = random_markov_joint4(rng, (2, 2, 2, 2))
-        try:
-            for a in (1.5, 2.0, 4.0):
-                est_a = contraction_search(channel, a, budget=1500, seed=seed + i)
-                sdpi_conditional_check(j4, a, est_a)
-        except InequalityViolation as exc:
-            ok, detail = False, str(exc)
-            break
+    try:
+        for i, (j4, _) in enumerate(chains):
+            for a in orders:
+                sdpi_conditional_check(j4, a, ests[a][i])
+    except InequalityViolation as exc:
+        ok, detail = False, str(exc)
     rows.append(_row("sdpi.conditional_chain", ok, detail))
 
     rng = _rng(seed, 21)
+    pairs = [(random_joint2(rng, 2, 2), random_kernel(rng, 2, 2)) for _ in range(30)]
+    ests = contraction_searches(
+        [ch for _, ch in pairs], 2, 2000, [seed + i for i in range(30)]
+    )
     ok = True
     detail = ""
-    for i in range(30):
-        jxy = random_joint2(rng, 2, 2)
-        ch = random_kernel(rng, 2, 2)
-        est = contraction_search(ch, 2, budget=2000, seed=seed + i)
-        try:
+    try:
+        for (jxy, ch), est in zip(pairs, ests):
             sdpi_unconditional_check(jxy, ch, 2, est)
-        except InequalityViolation as exc:
-            ok, detail = False, str(exc)
-            break
+    except InequalityViolation as exc:
+        ok, detail = False, str(exc)
     rows.append(_row("sdpi.unconditional_chain", ok, detail))
 
     # --- hypothesis testing -----------------------------------------------

@@ -914,6 +914,46 @@ def test_sdpi_budget_zero_is_error_record(ref_path, capsys):
     assert record["message"] == "budget must be at least 1"
 
 
+@pytest.mark.parametrize("alpha", ["200", "800"])
+def test_sdpi_at_overflowing_orders_reports_quietly(ref_path, capsys, alpha):
+    # the sampled integrals overflow for some pairs at these orders; those
+    # pairs go unscored and the rest still give a positive finite estimate
+    assert main(["sdpi", "--input", ref_path, "--alpha", alpha]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line.split("\t") for line in out.splitlines() if "\t" in line][1:]
+    assert [r[0] for r in rows] == [
+        "contraction_search.eta_normalized",
+        "contraction_search.eta_ratio_lower",
+        "sdpi_unconditional_check.lhs",
+        "sdpi_unconditional_check.rhs",
+    ]
+    assert all(r[1] == alpha and r[-1] == "true" for r in rows)
+    assert 0.0 < float(rows[1][2]) <= 1.0
+
+
+def test_sdpi_past_the_search_range_is_error_record(ref_path, capsys):
+    # at this order every sampled input integral overflows, so no pair is
+    # scored and the estimate is 0
+    assert main(["sdpi", "--input", ref_path, "--alpha", "2000"]) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert record["message"].startswith(
+        "the contraction estimate at order 2000 is 0.0, not a positive finite"
+    )
+
+
+def test_close_orders_keep_distinct_labels(ref_path, capsys):
+    args = ["measure", "--input", ref_path, "--alpha", "1.0000001",
+            "--alpha", "1.0000002"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "alpha: 1.0000001,1.0000002\n" in out
+    table = out.split("\n\n", 1)[1].splitlines()[1:]
+    labels = {line.split("\t")[1] for line in table}
+    assert labels == {"1.0000001", "1.0000002"}
+
+
 def test_simulate_budget_zero_is_error_record(ref_path, capsys):
     args = ["simulate", "--input", ref_path, "--n", "3", "--tau", "0.5",
             "--budget", "0"]

@@ -1,8 +1,10 @@
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import copy_joint
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +30,7 @@ from sibsonmi.errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from sibsonmi.instances import copy_joint, random_joint3, random_markov_joint
+from sibsonmi.instances import random_joint3, random_markov_joint
 
 
 def uniform_joint(shape=(2, 2, 2)):
@@ -127,6 +129,37 @@ class TestAlpha:
     def test_symbolic_flags(self):
         assert Alpha.ONE.is_one and not Alpha.ONE.is_finite
         assert Alpha.INFINITY.is_inf and not Alpha.INFINITY.is_finite
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        v=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).filter(
+            lambda v: v != 1.0
+        )
+    )
+    def test_label_reads_back_as_the_order(self, v):
+        assert float(str(Alpha(v))) == v
+
+    def test_short_labels_kept_where_they_read_back(self):
+        assert [str(Alpha(v)) for v in (2.0, 0.5, 1e-05, 1e20, 1.0000001)] == [
+            "2", "0.5", "1e-05", "1e+20", "1.0000001"
+        ]
+        assert str(Alpha(1 / 3)) == "0.3333333333333333"
+
+    def test_recorded_report_labels_unchanged(self):
+        expected = pathlib.Path(__file__).parent.parent / "perfbench" / "expected"
+        labels = set()
+        for path in expected.glob("*/*.txt"):
+            head, _, table = path.read_text().partition("\n\n")
+            for line in head.splitlines():
+                if line.startswith("alpha: "):
+                    labels.update(line[len("alpha: "):].split(","))
+            lines = table.splitlines()
+            if lines and "alpha" in lines[0].split("\t"):
+                col = lines[0].split("\t").index("alpha")
+                labels.update(line.split("\t")[col] for line in lines[1:])
+        labels.discard("")  # rows that take no order
+        assert len(labels) >= 4
+        assert all(str(Alpha.coerce(label)) == label for label in labels)
 
 
 class TestConditionalsGivenZ:

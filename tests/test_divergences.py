@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sibsonmi.core import Alpha
 from sibsonmi.divergences import (
+    _hellinger_rows,
     _logsumexp,
     hellinger_integral,
     kl_divergence,
@@ -239,3 +240,42 @@ class TestPowerSumConventions:
         assert hellinger_integral([1.0, 0.0], [0.0, 1.0], 0.5) == 0.0
         got = hellinger_integral(BERN_HALF, [1.0, 0.0], 0.5)
         assert got == pytest.approx(0.5**0.5, rel=1e-15)
+
+
+@st.composite
+def _row_stacks(draw):
+    """Two (n, k) stacks of pmf rows, k < 8: zero cells, rows with q equal
+    to p, q = 0 against p > 0, and 1e-60 cells that overflow at order 8."""
+    k, n = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    cell = st.sampled_from((0.0, 0.0, 1.0, 2.0, 3.0, 7.0, 1e-60))
+
+    def row():
+        w = np.array(draw(st.lists(cell, min_size=k, max_size=k).filter(any)))
+        return w / w.sum()
+
+    p = np.array([row() for _ in range(n)])
+    q = np.array([p[i] if draw(st.booleans()) else row() for i in range(n)])
+    return p, q
+
+
+class TestHellingerRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pq=_row_stacks(), a=st.sampled_from((0.3, 0.5, 1.5, 2.0, 4.0, 8.0)))
+    def test_rows_match_scalar_bitwise(self, pq, a):
+        p, q = pq
+        # a +inf term beside a finite one above ~709 overflows np.exp in
+        # the shared log-sum on both paths; the result is +inf either way
+        with np.errstate(over="ignore"):
+            rows = _hellinger_rows(p, q, a)
+            each = np.array([hellinger_integral(pi, qi, a) for pi, qi in zip(p, q)])
+        assert rows.tobytes() == each.tobytes()
+
+    def test_conventions(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [1 - 1e-60, 1e-60, 0.0]])
+        q = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [1e-60, 1 - 1e-60, 0.0]])
+        # equal rows, q = 0 against p > 0, and a sum past the float range
+        assert _hellinger_rows(p, q, 8.0).tolist() == [1.0, math.inf, math.inf]
+        below = _hellinger_rows(p, q, 0.5)
+        assert below[0] == 1.0
+        assert below[1] == hellinger_integral(p[1], q[1], 0.5)
+        assert below[1] == pytest.approx(0.5**0.5, rel=1e-15)

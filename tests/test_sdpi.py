@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import compose
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sibsonmi import sdpi
 from sibsonmi.core import Alpha, Kernel
@@ -19,6 +22,7 @@ from sibsonmi.instances import (
 )
 from sibsonmi.sdpi import (
     contraction_search,
+    contraction_searches,
     sdpi_conditional_check,
     sdpi_unconditional_check,
 )
@@ -31,7 +35,9 @@ def binary_kernel(rows):
 
 def scalar_contraction_search(k, a, budget, seed):
     """The per-start coordinate ascent, one pair per evaluation; the
-    reference the lockstep batch must match bit for bit."""
+    reference the lockstep batch must match bit for bit.  Returns both
+    etas, both witnesses, the most sweeps any start ran and the
+    discarded count."""
     av = Alpha.coerce(a).value
     d = len(k.in_labels)
     rng = np.random.default_rng(seed)
@@ -40,18 +46,20 @@ def scalar_contraction_search(k, a, budget, seed):
     distinct = np.max(np.abs(mus - nus), axis=1) > 1e-12
     mus, nus = mus[distinct], nus[distinct]
     d_in, d_out = sdpi._pair_values(k.rows, mus, nus, av)
-    lit = sdpi._literal(d_in, d_out)
-    norm = sdpi._normalized(d_in, d_out)
+    lit = sdpi._scored(sdpi._literal(d_in, d_out))
+    norm = sdpi._scored(sdpi._normalized(d_in, d_out))
 
     def ascend(ratio, order_scores):
         def score(mu, nu):
-            return float(ratio(*sdpi._pair_values(k.rows, mu[None], nu[None], av))[0])
+            pair = sdpi._pair_values(k.rows, mu[None], nu[None], av)
+            return float(sdpi._scored(ratio(*pair))[0])
 
         best_val, best_pair = -math.inf, None
         for idx in np.argsort(order_scores)[-10:]:
             mu, nu = mus[idx].copy(), nus[idx].copy()
             val = score(mu, nu)
             for it in range(100):
+                sweeps[0] = max(sweeps[0], it + 1)
                 delta = (0.1, 0.03, 0.01, 0.003, 0.001)[min(it // 20, 4)]
                 improved = False
                 for vec in (mu, nu):
@@ -74,11 +82,12 @@ def scalar_contraction_search(k, a, budget, seed):
                 best_val, best_pair = val, (mu.copy(), nu.copy())
         return best_val, best_pair
 
+    sweeps = [0]
     lit_best, lit_wit = ascend(sdpi._literal, lit)
     norm_best, norm_wit = ascend(sdpi._normalized, norm)
     lit_best = max(lit_best, float(np.max(lit, initial=0.0)))
     norm_best = max(norm_best, float(np.max(norm, initial=0.0)), 0.0)
-    return norm_best, lit_best, norm_wit, lit_wit
+    return norm_best, lit_best, norm_wit, lit_wit, sweeps[0], budget - len(mus)
 
 
 def _labels(n):
@@ -106,6 +115,63 @@ def _same_pair(p, q):
     if p is None or q is None:
         return p is None and q is None
     return all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(p, q))
+
+
+def _fields(est):
+    """Every searched field of an estimate, witnesses as raw bytes."""
+
+    def raw(pair):
+        return None if pair is None else tuple(
+            (x.dtype.str, x.tobytes()) for x in pair
+        )
+
+    return (
+        est.eta_normalized,
+        est.eta_ratio_lower,
+        raw(est.witness_normalized),
+        raw(est.witness_ratio),
+        est.ascent_sweeps,
+        est.discarded,
+    )
+
+
+def _scalar_fields(k, a, budget, seed):
+    norm, lit, norm_wit, lit_wit, sweeps, discarded = scalar_contraction_search(
+        k, a, budget, seed
+    )
+    est = sdpi.ContractionEstimate(
+        Alpha.coerce(a), norm, lit, norm_wit, lit_wit, budget, seed, sweeps, discarded
+    )
+    return _fields(est)
+
+
+@st.composite
+def _kernel_batches(draw):
+    """1-4 kernels of one random (d, m) shape with d, m in 1..4: random
+    rows from small integer weights (zero cells included), identity
+    kernels and constant kernels; d = 1 discards every sampled pair."""
+    d, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def row():
+        w = draw(
+            st.lists(st.integers(0, 9), min_size=m, max_size=m).filter(any)
+        )
+        return np.array(w, dtype=float) / sum(w)
+
+    kernels = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("random", "identity", "constant")))
+        if kind == "identity" and d == m:
+            rows = np.eye(d)
+        elif kind == "constant":
+            rows = np.tile(row(), (d, 1))
+        else:
+            rows = np.array([row() for _ in range(d)])
+        kernels.append(Kernel(_labels(d), _labels(m), rows))
+    seeds = draw(
+        st.lists(st.integers(0, 2**16), min_size=len(kernels), max_size=len(kernels))
+    )
+    return kernels, seeds
 
 
 class TestContractionSearch:
@@ -165,7 +231,7 @@ class TestContractionSearch:
             e1 = contraction_search(k1, 2, budget=2000, seed=i).eta_normalized
             e2 = contraction_search(k2, 2, budget=2000, seed=i).eta_normalized
             e12 = contraction_search(
-                k1.compose(k2), 2, budget=2000, seed=i
+                compose(k1, k2), 2, budget=2000, seed=i
             ).eta_normalized
             assert e12 <= min(e1, e2) + 1e-3
 
@@ -184,11 +250,45 @@ class TestContractionSearch:
     )
     def test_lockstep_matches_scalar_ascent(self, k, a, budget, seed):
         est = contraction_search(k, a, budget=budget, seed=seed)
-        norm, lit, norm_wit, lit_wit = scalar_contraction_search(k, a, budget, seed)
-        assert est.eta_normalized == norm
-        assert est.eta_ratio_lower == lit
-        assert _same_pair(est.witness_normalized, norm_wit)
-        assert _same_pair(est.witness_ratio, lit_wit)
+        assert _fields(est) == _scalar_fields(k, a, budget, seed)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        batch=_kernel_batches(),
+        a=st.sampled_from((1.01, 1.5, 2.0, 4.0, 7.3)),
+        budget=st.sampled_from((1, 3, 9, 1500)),
+    )
+    def test_batched_searches_match_single_and_scalar(self, batch, a, budget):
+        # every estimate against its own single search, and the first
+        # against the scalar reference too (the slow part, so only one)
+        kernels, seeds = batch
+        ests = contraction_searches(kernels, a, budget, seeds)
+        assert len(ests) == len(kernels)
+        for k, seed, est in zip(kernels, seeds, ests):
+            single = contraction_search(k, a, budget, seed)
+            assert _fields(est) == _fields(single)
+            assert (est.alpha, est.budget, est.seed) == (single.alpha, budget, seed)
+        assert _fields(ests[0]) == _scalar_fields(kernels[0], a, budget, seeds[0])
+
+    def test_batched_searches_reject_mixed_shapes(self):
+        k2 = random_kernel(np.random.default_rng(0), 2, 2)
+        k3 = random_kernel(np.random.default_rng(1), 2, 3)
+        with pytest.raises(ValidationError, match="one kernel shape"):
+            contraction_searches([k2, k3], 2, 10, [0, 1])
+
+    def test_batched_searches_need_one_seed_per_kernel(self):
+        k = random_kernel(np.random.default_rng(0), 2, 2)
+        with pytest.raises(ValidationError, match="2 kernels need as many seeds"):
+            contraction_searches([k, k], 2, 10, [0])
+        assert contraction_searches([], 2, 10, []) == []
+
+    def test_nan_scored_pairs_are_unscored(self):
+        d_in = np.array([math.nan, 2.0, 2.0, math.inf])
+        d_out = np.array([1.5, math.nan, 1.5, 1.5])
+        lit = sdpi._scored(sdpi._literal(d_in, d_out))
+        norm = sdpi._scored(sdpi._normalized(d_in, d_out))
+        assert lit.tolist() == [-math.inf, -math.inf, 0.75, 0.0]
+        assert norm.tolist() == [-math.inf, -math.inf, 0.5, 0.0]
 
     def test_all_inf_normalised_values_leave_no_witness(self):
         flat = binary_kernel([[0.3, 0.7], [0.3, 0.7]])

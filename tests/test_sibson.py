@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import copy_joint
 
 from sibsonmi.core import Alpha, Joint2, Joint3, Pmf
 from sibsonmi.divergences import renyi_divergence
 from sibsonmi.errors import ValidationError
 from sibsonmi.instances import (
     asymmetric_joint,
-    copy_joint,
     independent_joint2,
     random_joint2,
     random_joint3,
