@@ -24,17 +24,27 @@ _NEG_CLAMP = 1e-12
 def _logsumexp(a, axis=None):
     """log(sum(exp(a))) along ``axis`` with max subtraction.
 
-    A non-finite max is replaced by 0 before subtracting, so all -inf
-    input, like an empty sum, gives -inf and any +inf entry gives +inf
-    instead of NaN.
+    A slice whose max is not finite is shifted by 0 instead, so all
+    -inf input, like an empty sum, gives -inf; a slice holding +inf
+    gives +inf without exponentiating its other terms unshifted, which
+    could overflow.
     """
     a = np.asarray(a, dtype=float)
     top = a.max(axis=axis, keepdims=True, initial=-math.inf)
-    top[~np.isfinite(top)] = 0.0
-    e = a - top
-    np.exp(e, out=e)
-    with np.errstate(divide="ignore"):
+    if np.isfinite(top).all():
+        # the max term is exp(0) = 1, so no sum is 0
+        e = a - top
+        np.exp(e, out=e)
         out = np.log(e.sum(axis=axis, keepdims=True)) + top
+    else:
+        hot = top == math.inf
+        top[~np.isfinite(top)] = 0.0
+        e = a - top
+        e[np.broadcast_to(hot, e.shape)] = -math.inf
+        np.exp(e, out=e)
+        with np.errstate(divide="ignore"):
+            out = np.log(e.sum(axis=axis, keepdims=True)) + top
+        out[hot] = math.inf
     return out.squeeze(axis) if axis is not None else float(out.reshape(()))
 
 

@@ -27,6 +27,10 @@ _POLISH_PASSES = 12
 # shrinks 16x per round and 16^10 ~ 1e12-fold over a search
 _LINE_POINTS = 33
 _LINE_ROUNDS = 10
+# the grid scan prices at most this many points per objective call:
+# whole grids of several problems, or slices of one large grid, so the
+# objective's temporaries stay bounded however many problems or points
+_SCAN_POINTS = 1 << 16
 
 
 def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
@@ -67,20 +71,105 @@ def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
     return out
 
 
-def _line_search(f_batch: Callable[[np.ndarray], np.ndarray], q, d, lo, hi):
-    """Minimise t -> f(q + t d) on [lo, hi] by batched bracketing.
+def _line_searches(f_stack, rows, q, d, lo, hi):
+    """Minimise t -> f_r(q_r + t d) on [lo_r, hi_r] for each problem r
+    in ``rows``, all in lockstep by batched bracketing.
 
-    Returns the best ``(t, value)`` among all points evaluated.
+    Returns each row's best ``(t, value)`` among the points it evaluated.
     """
-    best_t, best_f = lo, math.inf
+    pick = np.arange(len(rows))
+    offsets = np.arange(_LINE_POINTS, dtype=float)
+    best_t, best_f = lo.copy(), np.full(len(rows), math.inf)
     for _ in range(_LINE_ROUNDS):
-        ts = np.linspace(lo, hi, _LINE_POINTS)
-        vals = np.asarray(f_batch(q + ts[:, None] * d), dtype=float)
-        k = int(np.argmin(vals))
-        if vals[k] < best_f:
-            best_t, best_f = float(ts[k]), float(vals[k])
-        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, _LINE_POINTS - 1)]
+        # np.linspace(lo_r, hi_r, _LINE_POINTS) per row, written out:
+        # given array endpoints, linspace switches every row to another
+        # formula as soon as any row has a zero step
+        ts = offsets * ((hi - lo) / (_LINE_POINTS - 1))[:, None] + lo[:, None]
+        ts[:, -1] = hi
+        vals = np.asarray(f_stack(rows, q[:, None, :] + ts[:, :, None] * d), dtype=float)
+        k = np.argmin(vals, axis=1)
+        vk = vals[pick, k]
+        better = vk < best_f
+        best_t[better] = ts[pick, k][better]
+        best_f[better] = vk[better]
+        lo = ts[pick, np.maximum(k - 1, 0)]
+        hi = ts[pick, np.minimum(k + 1, _LINE_POINTS - 1)]
     return best_t, best_f
+
+
+def minimize_on_simplexes(
+    f_stack: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n: int,
+    dim: int,
+    step: float = 1e-3,
+):
+    """Minimise n objectives on the (dim-1)-simplex in lockstep.
+
+    ``f_stack(rows, qs)`` takes an int array of problem indices and an
+    (len(rows), k, dim) array of simplex points, k per problem, and
+    returns the (len(rows), k) objective values; a problem's values
+    must not depend on which other rows share the call.  Every problem
+    takes exactly the steps of its own ``minimize_on_simplex`` run, so
+    its argmin and value are bit-identical to that run's:
+
+    - the grid scan prices every problem on the whole grid, at most
+      ``_SCAN_POINTS`` points per call, and keeps each row's first
+      minimum;
+    - each coordinate pair's line search runs only on the live rows
+      whose window is at least 1e-15 wide, each row narrowing its own
+      bracket;
+    - a row moves when its search gains more than 1e-15; moved points
+      are clipped, renormalised and re-priced in one call;
+    - a row stops after a pass without a move (after the grid scan for
+      dim == 1).
+
+    Returns ``(argmins, values)``, arrays of shapes (n, dim) and (n,).
+    """
+    grid = simplex_grid(dim, step)
+    vals = np.empty((n, len(grid)))
+    chunk = min(len(grid), _SCAN_POINTS)
+    per_call = max(1, _SCAN_POINTS // len(grid))
+    for first in range(0, n, per_call):
+        rows = np.arange(first, min(first + per_call, n))
+        for lo in range(0, len(grid), chunk):
+            points = grid[lo:lo + chunk]
+            vals[rows, lo:lo + chunk] = f_stack(
+                rows, np.broadcast_to(points, (len(rows), *points.shape))
+            )
+    best = np.argmin(vals, axis=1)
+    q = grid[best]
+    fq = vals[np.arange(n), best]
+    if dim == 1:
+        return q, fq
+    window = 2.0 * step
+    live = np.arange(n)
+    for _ in range(_POLISH_PASSES):
+        improved = np.zeros(n, dtype=bool)
+        for i in range(dim):
+            for jx in range(i + 1, dim):
+                d = np.zeros(dim)
+                d[i], d[jx] = 1.0, -1.0
+                lo = np.maximum(-q[live, i], -window)
+                hi = np.minimum(q[live, jx], window)
+                wide = ~(hi - lo < 1e-15)
+                rows = live[wide]
+                if not len(rows):
+                    continue
+                t, ft = _line_searches(f_stack, rows, q[rows], d, lo[wide], hi[wide])
+                take = ft < fq[rows] - 1e-15
+                if not take.any():
+                    continue
+                rows = rows[take]
+                moved = q[rows] + t[take, None] * d
+                np.clip(moved, 0.0, None, out=moved)
+                moved /= moved.sum(axis=1, keepdims=True)
+                q[rows] = moved
+                fq[rows] = np.asarray(f_stack(rows, moved[:, None, :]), dtype=float)[:, 0]
+                improved[rows] = True
+        live = live[improved[live]]
+        if not len(live):
+            break
+    return q, fq
 
 
 def minimize_on_simplex(
@@ -95,48 +184,31 @@ def minimize_on_simplex(
     between coordinate pairs inside a window around the best grid point,
     so the grid supplies the global picture and the line searches the
     final digits: at most ``_POLISH_PASSES`` sweeps over the pairs, each
-    move within two grid steps of the current point.  Every line search
-    calls ``f_batch`` ``_LINE_ROUNDS`` times, plus once more to re-price
-    an accepted move.
+    move within two grid steps of the current point.  This is the
+    one-problem call of ``minimize_on_simplexes``: ``f_batch`` is called
+    once for the grid scan (once per ``_SCAN_POINTS`` points of a larger
+    grid), once per line-search round (``_LINE_ROUNDS`` per search) and
+    once more to re-price an accepted move.  It must price each point
+    on its own, as every oracle objective does, and leave its input
+    unchanged.
     """
-    grid = simplex_grid(dim, step)
-    vals = np.asarray(f_batch(grid), dtype=float)
-    best = int(np.argmin(vals))
-    q = grid[best].copy()
-    fq = float(vals[best])
-    if dim == 1:
-        return q, fq
-    window = 2.0 * step
-    for _ in range(_POLISH_PASSES):
-        improved = False
-        for i in range(dim):
-            for jx in range(i + 1, dim):
-                d = np.zeros(dim)
-                d[i], d[jx] = 1.0, -1.0
-                lo = max(-q[i], -window)
-                hi = min(q[jx], window)
-                if hi - lo < 1e-15:
-                    continue
-                t, ft = _line_search(f_batch, q, d, lo, hi)
-                if ft < fq - 1e-15:
-                    q = q + t * d
-                    np.clip(q, 0.0, None, out=q)
-                    q /= q.sum()
-                    fq = float(f_batch(q[None, :])[0])
-                    improved = True
-        if not improved:
-            break
-    return q, fq
+    q, fq = minimize_on_simplexes(
+        lambda rows, qs: np.asarray(f_batch(qs[0]), dtype=float)[None, :],
+        1, dim, step,
+    )
+    return q[0], float(fq[0])
 
 
 def _power_sums(p: np.ndarray, ms: np.ndarray, av: float) -> np.ndarray:
-    """Row sums of p^a m^(1-a) over the cells, straight from the definition.
+    """Sums of p^a m^(1-a) over the cells (the last axis), straight from
+    the definition.
 
     The rows of ``ms`` are measures on the cells; ``p`` is one measure
-    on the same cells, or a stack with one row per row of ``ms`` (the
-    paired Hellinger integrals of ``sdpi.contraction_search``).  A p = 0
-    cell adds nothing; an m = 0 cell against p > 0 adds nothing below
-    order 1 and makes its row +inf above it.
+    on the same cells, or a stack that broadcasts against ``ms`` (one
+    row per row of ``ms`` in the paired Hellinger integrals of
+    ``sdpi.contraction_search``, one per problem in a stacked oracle).
+    A p = 0 cell adds nothing; an m = 0 cell against p > 0 adds nothing
+    below order 1 and makes its row +inf above it.
     """
     pos = p > 0
     hit = pos & (ms > 0)
@@ -145,15 +217,15 @@ def _power_sums(p: np.ndarray, ms: np.ndarray, av: float) -> np.ndarray:
     terms **= 1.0 - av
     terms *= p**av
     terms[~hit] = 0.0
-    sums = terms.sum(axis=1)
+    sums = terms.sum(axis=-1)
     if av > 1:
-        sums[(pos & ~hit).any(axis=1)] = math.inf
+        sums[(pos & ~hit).any(axis=-1)] = math.inf
     return sums
 
 
 def _renyi_from_sums(sums: np.ndarray, av: float) -> np.ndarray:
     """(1/(a-1)) log of power sums; an empty (zero) sum is +inf."""
-    out = np.full(sums.shape[0], math.inf)
+    out = np.full(sums.shape, math.inf)
     ok = sums > 0
     out[ok] = np.log(sums[ok]) / (av - 1.0)
     return out
@@ -163,8 +235,9 @@ def batch_renyi_from_defs(p_flat: np.ndarray, ms: np.ndarray, av: float):
     """Order-av divergence of a fixed p against a batch of measures.
 
     Plain power sums straight from the definition (no log-space tricks,
-    no closed forms): rows of ``ms`` are candidate measures on the same
-    cells as ``p_flat``.
+    no closed forms): rows of ``ms`` (along its last axis) are candidate
+    measures on the same cells as ``p_flat``, which may also be a stack
+    that broadcasts against ``ms``.
     """
     p_flat = np.asarray(p_flat, dtype=float)
     ms = np.asarray(ms, dtype=float)
@@ -207,34 +280,109 @@ def sibson_mi_oracle(jxy: Joint2, a, step: float | None = None):
     return val, q
 
 
+def _one_shape(joints) -> tuple[list[Joint3], tuple[int, int, int]]:
+    joints = list(joints)
+    if not joints:
+        raise ValidationError("the batched oracles need at least one joint")
+    shapes = sorted({j.shape for j in joints})
+    if len(shapes) > 1:
+        # stacks of one cell count keep each row's sum in the order of a
+        # single call: numpy's pairwise summation regroups padded rows
+        raise ValidationError(f"the batched oracles need joints of one shape, got {shapes}")
+    return joints, shapes[0]
+
+
+def cond_z_oracles(joints, a, step: float | None = None):
+    """``cond_z_oracle`` of every joint, minimised in lockstep.
+
+    The joints must share one shape.  Joints with the same number of
+    reachable z form one ``minimize_on_simplexes`` call, so each result
+    is bit-identical to the single call.  Returns one
+    ``(value, argmin_q)`` per joint, in order.
+    """
+    av = _finite_alpha(a)
+    joints, (_, _, nz) = _one_shape(joints)
+    probs, conds, idxs = [], [], []
+    for j in joints:
+        _, reach, _, cx, cy = j.conditionals_given_z()
+        probs.append(j.probs.ravel())
+        conds.append(np.einsum("zx,zy->xyz", cx, cy))
+        idxs.append(np.flatnonzero(reach))
+    groups: dict[int, list[int]] = {}
+    for m, idx in enumerate(idxs):
+        groups.setdefault(len(idx), []).append(m)
+    out: list = [None] * len(joints)
+    for dim, members in groups.items():
+        p = np.stack([probs[m] for m in members])[:, None, :]
+        cond_prod = np.stack([conds[m] for m in members])[:, None]
+        idx = np.stack([idxs[m] for m in members])[:, None, :]
+
+        def f_stack(rows, qs, p=p, cond_prod=cond_prod, idx=idx):
+            full = np.zeros((*qs.shape[:2], nz))
+            np.put_along_axis(full, np.broadcast_to(idx[rows], qs.shape), qs, axis=2)
+            ms = cond_prod[rows] * full[:, :, None, None, :]
+            return batch_renyi_from_defs(p[rows], ms.reshape(*qs.shape[:2], -1), av)
+
+        q_r, vals = minimize_on_simplexes(
+            f_stack, len(members), dim, step=_auto_step(dim, step)
+        )
+        for g, m in enumerate(members):
+            q = np.zeros(nz)
+            q[idxs[m]] = q_r[g]
+            out[m] = (float(vals[g]), q)
+    return out
+
+
 def cond_z_oracle(j: Joint3, a, step: float | None = None):
     """min over pmfs Q on Z of D_a(P_XYZ || P_X|Z P_Y|Z x Q).
 
     The grid runs over the reachable-z simplex (a Q that weights an
     unreachable z can only increase the divergence for orders above 1
     and never decreases it below); returns ``(value, argmin_q)`` with
-    the argmin embedded over the full Z alphabet.
+    the argmin embedded over the full Z alphabet.  The one-joint call of
+    ``cond_z_oracles``.
+    """
+    return cond_z_oracles([j], a, step)[0]
+
+
+def cond_ygz_oracles(joints, a, step: float | None = None):
+    """``cond_ygz_oracle`` of every joint, minimised in lockstep.
+
+    The joints must share one shape.  Every reachable (joint, z) block
+    is one problem of a single ``minimize_on_simplexes`` call, so each
+    result is bit-identical to the single call.  Returns one
+    ``(value, rows)`` per joint, in order.
     """
     av = _finite_alpha(a)
-    pz, reach, _, cx, cy = j.conditionals_given_z()
-    nz = j.shape[2]
-    cond_prod = np.einsum("zx,zy->xyz", cx, cy)
-    p = j.probs.ravel()
-    idx = np.flatnonzero(reach)
-    step = _auto_step(len(idx), step)
+    joints, (_, ny, nz) = _one_shape(joints)
+    sign = 1.0 if av > 1 else -1.0
+    p_blocks, bases, reaches = [], [], []
+    for j in joints:
+        pz, reach, _, cx, _ = j.conditionals_given_z()
+        reaches.append(reach)
+        for z in np.flatnonzero(reach):
+            p_blocks.append(j.probs[:, :, z].ravel())
+            bases.append(cx[z][:, None] * pz[z])  # P(x|z) P_Z(z), broadcast over y
+    p = np.stack(p_blocks)[:, None, :]
+    base = np.stack(bases)[:, None]
 
-    def f_batch(qs: np.ndarray) -> np.ndarray:
-        full = np.zeros((qs.shape[0], nz))
-        full[:, idx] = qs
-        ms = (cond_prod[None, :, :, :] * full[:, None, None, :]).reshape(
-            qs.shape[0], -1
-        )
-        return batch_renyi_from_defs(p, ms, av)
+    def f_stack(rows, qs):
+        ms = base[rows] * qs[:, :, None, :]
+        return sign * _power_sums(p[rows], ms.reshape(*qs.shape[:2], -1), av)
 
-    q_r, val = minimize_on_simplex(f_batch, len(idx), step=step)
-    q = np.zeros(nz)
-    q[idx] = q_r
-    return val, q
+    q_b, s_b = minimize_on_simplexes(f_stack, len(p_blocks), ny, step=_auto_step(ny, step))
+    out, first = [], 0
+    for reach in reaches:
+        idx = np.flatnonzero(reach)
+        kernel_rows = np.zeros((nz, ny))
+        block_sums = np.zeros(nz)
+        kernel_rows[idx] = q_b[first:first + len(idx)]
+        block_sums[idx] = sign * s_b[first:first + len(idx)]
+        first += len(idx)
+        total = block_sums[reach].sum()
+        value = math.log(total) / (av - 1.0) if total > 0 else math.inf
+        out.append((value, kernel_rows))
+    return out
 
 
 def cond_ygz_oracle(j: Joint3, a, step: float | None = None):
@@ -243,32 +391,11 @@ def cond_ygz_oracle(j: Joint3, a, step: float | None = None):
     The defining sum splits as (1/(a-1)) log of a sum of nonnegative
     per-z blocks, each depending only on its own row Q(.|z), so the rows
     can be optimised independently: minimise each block for orders above
-    1, maximise for orders below 1.  Returns ``(value, rows)``.
+    1, maximise for orders below 1.  Returns ``(value, rows)``.  The
+    one-joint call of ``cond_ygz_oracles``, so its z blocks are already
+    minimised in lockstep.
     """
-    av = _finite_alpha(a)
-    pz, reach, _, cx, _ = j.conditionals_given_z()
-    nx, ny, nz = j.shape
-    step = _auto_step(ny, step)
-    sign = 1.0 if av > 1 else -1.0
-    rows = np.zeros((nz, ny))
-    block_sums = np.zeros(nz)
-    for z in range(nz):
-        if not reach[z]:
-            continue
-        p_slice = j.probs[:, :, z].ravel()
-        base = cx[z][:, None] * pz[z]  # P(x|z) P_Z(z), broadcast over y
-
-        def block(qs: np.ndarray, p_slice=p_slice, base=base) -> np.ndarray:
-            ms = (base[None, :, :] * qs[:, None, :]).reshape(qs.shape[0], -1)
-            return sign * _power_sums(p_slice, ms, av)
-
-        q, s = minimize_on_simplex(block, ny, step=step)
-        rows[z] = q
-        block_sums[z] = sign * s
-    total = block_sums[reach].sum()
-    if not total > 0:
-        return math.inf, rows
-    return math.log(total) / (av - 1.0), rows
+    return cond_ygz_oracles([j], a, step)[0]
 
 
 def min_weighted_radius(measures, weights, a, step: float | None = None):
