@@ -12,8 +12,6 @@ from .core import (
     Pmf,
     absolutely_continuous,
     conditional,
-    event_slice,
-    event_slice_zy,
     marginal,
     markov_extend,
     markov_product,
@@ -57,8 +55,6 @@ __all__ = [
     "cond_sibson_z",
     "conditional",
     "conditional_mi",
-    "event_slice",
-    "event_slice_zy",
     "hellinger_integral",
     "info_radius",
     "kl_divergence",

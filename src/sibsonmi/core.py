@@ -525,21 +525,6 @@ def require_conformal(e: EventMask, j) -> None:
         )
 
 
-def event_slice(e: EventMask, j: Joint3, z) -> np.ndarray:
-    """The (x, y) slice of the event at a fixed z symbol."""
-    require_conformal(e, j)
-    iz = j.z_labels.index(z)
-    return e.mask[:, :, iz]
-
-
-def event_slice_zy(e: EventMask, j: Joint3, z, y) -> np.ndarray:
-    """The x slice of the event at fixed (z, y) symbols."""
-    require_conformal(e, j)
-    iz = j.z_labels.index(z)
-    iy = j.y_labels.index(y)
-    return e.mask[:, iy, iz]
-
-
 def tensor_power(j: Joint3, n: int) -> Joint3:
     """The n-fold product of ``j`` over product alphabets.
 

@@ -74,19 +74,50 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return pa, qa
 
 
-def _equal_measures(pa: np.ndarray, qa: np.ndarray) -> bool:
+def _equal_rows(p: np.ndarray, q: np.ndarray):
     # measures equal to within the mass tolerance have divergence 0 by
     # contract; short-circuiting keeps the value exact instead of a few
     # ulps of log-sum noise
-    return bool(np.all(np.abs(pa - qa) <= _NEG_CLAMP))
+    return (np.abs(p - q) <= _NEG_CLAMP).all(axis=-1)
 
 
 def _clamp(v: float) -> float:
     # log-space rounding can leave a divergence of two equal measures a
-    # few ulps below zero; snap those to the exact boundary value
-    if -_NEG_CLAMP < v < 0.0:
+    # few ulps below zero; snap those (and -0.0) to the exact boundary value
+    if -_NEG_CLAMP < v <= 0.0:
         return 0.0
     return v
+
+
+def _log_hellinger_rows(p, q, av: float) -> np.ndarray:
+    """log sum p^a q^(1-a) along the last axis of two stacks of measures
+    at the finite order av, with the conventions above (no common support
+    gives -inf): the one finite-order kernel.  Rows equal within the mass
+    tolerance give exactly 0.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    # off the support of p, lp = -inf meets lq = 0: the cell drops out
+    # whatever q is, never as 0 * inf
+    sup = p > 0
+    lp, lq = np.full(p.shape, -math.inf), np.zeros(q.shape)
+    lp[sup], lq[sup] = np.log(p[sup]), _log(q[sup])
+    out = _log_power_sum(lp, lq, av, axis=-1)
+    out[_equal_rows(p, q)] = 0.0
+    return out
+
+
+def _exp(v: float) -> float:
+    # math.exp, as numpy's exp can round differently; overflow reads +inf
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _hellinger_rows(p, q, av: float) -> np.ndarray:
+    """Row-wise Hellinger integrals of two (n, k) stacks at the finite order av."""
+    return np.array([_exp(v) for v in _log_hellinger_rows(p, q, av).tolist()])
 
 
 def renyi_divergence(p, q, a) -> float:
@@ -99,13 +130,13 @@ def renyi_divergence(p, q, a) -> float:
     """
     a = Alpha.coerce(a)
     pa, qa = _pair(p, q)
-    if _equal_measures(pa, qa):
-        return 0.0
-    sup = pa > 0
     if a.is_finite:
-        lps = _log_power_sum(np.log(pa[sup]), _log(qa[sup]), a.value)
+        lps = float(_log_hellinger_rows(pa[None], qa[None], a.value)[0])
         # an empty sum means no common support: +inf for every order
         return math.inf if lps == -math.inf else _clamp(lps / (a.value - 1.0))
+    if _equal_rows(pa, qa):
+        return 0.0
+    sup = pa > 0
     if np.any(sup & (qa <= 0)):
         return math.inf
     ratio = pa[sup] / qa[sup]
@@ -129,39 +160,7 @@ def hellinger_integral(p, q, a) -> float:
     if not a.is_finite:
         raise ValidationError("the Hellinger integral needs a finite order")
     pa, qa = _pair(p, q)
-    if _equal_measures(pa, qa):
-        return 1.0
-    sup = pa > 0
-    try:
-        return math.exp(_log_power_sum(np.log(pa[sup]), _log(qa[sup]), a.value))
-    except OverflowError:
-        return math.inf
-
-
-def _hellinger_rows(p, q, av: float) -> np.ndarray:
-    """Row-wise Hellinger integrals of two (n, k) stacks at the finite order av.
-
-    One pass of ``_log_power_sum`` along the rows with the conventions of
-    ``hellinger_integral``: rows equal within the mass tolerance give
-    1.0, a p = 0 cell drops out (its term is -inf, never 0 * inf), a
-    q = 0 cell against p > 0 gives +inf above order 1, and each row's
-    log-sum goes through ``math.exp``, an overflow reading +inf.  For
-    rows of fewer than 8 cells every value is bit-identical to
-    ``hellinger_integral`` on that row.  Longer rows with zero cells can
-    differ in the last bits: numpy's pairwise summation groups a sum
-    with masked cells differently from the sum over the support alone.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    lps = _log_power_sum(_log(p), _log(np.where(p > 0, q, 1.0)), av, axis=1)
-    out = np.empty(len(lps))
-    for i, v in enumerate(lps.tolist()):
-        try:
-            out[i] = math.exp(v)
-        except OverflowError:
-            out[i] = math.inf
-    out[np.all(np.abs(p - q) <= _NEG_CLAMP, axis=1)] = 1.0
-    return out
+    return _exp(float(_log_hellinger_rows(pa[None], qa[None], a.value)[0]))
 
 
 @dataclass(frozen=True)

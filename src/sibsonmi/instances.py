@@ -107,9 +107,3 @@ def random_markov_joint4(
     )
     channel = random_kernel(rng, nx, ny)
     return markov_extend(base, channel), channel
-
-
-def independent_joint2(px, py) -> Joint2:
-    px = np.asarray(px, float)
-    py = np.asarray(py, float)
-    return Joint2(_labels(len(px)), _labels(len(py)), np.outer(px, py))

@@ -15,7 +15,8 @@ the literal ratio, so log(eta)/(a-1) <= 0 and they test plain data
 processing made stricter by the search shortfall 1 - eta.  A pass
 certifies the inequality on the instance; a failure can be that
 shortfall rather than a violated inequality (``sdpi.unconditional_chain``
-in the selftest battery fails this way at seeds 8, 202 and 400).
+in the selftest battery fails this way at seeds 8, 26, 92, 202 and
+400).
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def contraction_searches(
     it would follow alone.  Each start pushes its inputs through its own
     kernel as a stacked (1, d) @ (d, m) product, since a (B, d) @ (d, m)
     product can round differently and the witnesses must not depend on
-    the batch; a single kernel is the shared operand of every product.
+    the batch.
     A kernel's ``ascent_sweeps`` counts the sweeps in which it still had
     a live start (one that improved in every sweep before).
     budget * max(d, m) above DEFAULT_CELL_CAP raises ResourceLimitError
@@ -185,17 +186,10 @@ def contraction_searches(
     )
     mu, nu, lit_row = map(np.concatenate, (mus, nus, lit_rows))
     owner = np.repeat(np.arange(len(kernels)), [len(r) for r in lit_rows])
-    if len(kernels) == 1:
-        shared = kernels[0].rows
+    per_row = np.stack([k.rows for k in kernels])[owner]
 
-        def through(rows, x):
-            return (x[:, None] @ shared)[:, 0]
-
-    else:
-        per_row = np.stack([k.rows for k in kernels])[owner]
-
-        def through(rows, x):
-            return (x[:, None] @ per_row[rows])[:, 0]
+    def through(rows, x):
+        return (x[:, None] @ per_row[rows])[:, 0]
 
     def score(rows, mu_b, nu_b):
         # stacked matrix-vector products, not one matrix product (see above)
@@ -275,34 +269,43 @@ def _log_eta(est: ContractionEstimate, a: Alpha) -> float:
     return math.log(eta)
 
 
+def _additive_check(what: str, a, est: ContractionEstimate, measure, joints):
+    """The shared body of the two additive checks: ``joints()`` checks the
+    caller's preconditions after the order check and returns the joints
+    whose measures make lhs and rhs."""
+    a = Alpha.coerce(a)
+    if not a.is_finite or a.value <= 1.0:
+        raise ValidationError("the additive inequality needs a finite order > 1")
+    smaller, larger = joints()
+    log_eta = _log_eta(est, a)
+    lhs = measure(smaller, a).value_nats
+    rhs = log_eta / (a.value - 1.0) + measure(larger, a).value_nats
+    if lhs > rhs + CHECK_TOL:
+        raise InequalityViolation(
+            f"{what} contraction check failed: {lhs!r} > {rhs!r} + {CHECK_TOL}"
+        )
+    return lhs, rhs
+
+
 def sdpi_conditional_check(
     j4: Joint4, a, est: ContractionEstimate
 ) -> tuple[float, float]:
     """Additive contraction inequality on a (Z,W) - X - Y chain.
 
     Checks I^Z(W,Y|Z) <= log(eta)/(a-1) + I^Z(W,X|Z) with eta the
-    searched lower bound for the X -> Y channel's literal ratio.  That
-    ratio's supremum is 1, so this is data processing tightened by the
-    search shortfall, not a strong data-processing inequality.  Raises
-    InequalityViolation beyond 1e-9, otherwise returns ``(lhs, rhs)``.
+    searched lower bound for the X -> Y channel's literal ratio (so data
+    processing tightened by the search shortfall; see the module notes).
+    Raises InequalityViolation beyond 1e-9, else returns ``(lhs, rhs)``.
     """
-    a = Alpha.coerce(a)
-    if not a.is_finite or a.value <= 1.0:
-        raise ValidationError("the additive inequality needs a finite order > 1")
-    if not j4.is_markov_zw_x_y():
-        raise PreconditionError(
-            f"joint does not factor as P(w,x,z) P(y|x) within {MARKOV_TOL}"
-        )
-    log_eta = _log_eta(est, a)
-    lhs = cond_sibson_z(j4.marginal_wyz(), a).value_nats
-    rhs = log_eta / (a.value - 1.0) + cond_sibson_z(
-        j4.marginal_wxz(), a
-    ).value_nats
-    if lhs > rhs + CHECK_TOL:
-        raise InequalityViolation(
-            f"conditional contraction check failed: {lhs!r} > {rhs!r} + {CHECK_TOL}"
-        )
-    return lhs, rhs
+
+    def joints():
+        if not j4.is_markov_zw_x_y():
+            raise PreconditionError(
+                f"joint does not factor as P(w,x,z) P(y|x) within {MARKOV_TOL}"
+            )
+        return j4.marginal_wyz(), j4.marginal_wxz()
+
+    return _additive_check("conditional", a, est, cond_sibson_z, joints)
 
 
 def sdpi_unconditional_check(
@@ -312,28 +315,17 @@ def sdpi_unconditional_check(
 
     W is generated from X through ``channel_wx`` (so the chain holds by
     construction); checks I_a(W,Y) <= log(eta)/(a-1) + I_a(X,Y) with
-    eta the searched lower bound for that channel's literal ratio.  That
-    ratio's supremum is 1, so this is data processing tightened by the
-    search shortfall, not a strong data-processing inequality.  Raises
-    InequalityViolation beyond 1e-9, otherwise returns ``(lhs, rhs)``.
+    eta the searched lower bound for that channel's literal ratio, like
+    ``sdpi_conditional_check``.
     """
-    a = Alpha.coerce(a)
-    if not a.is_finite or a.value <= 1.0:
-        raise ValidationError("the additive inequality needs a finite order > 1")
-    if channel_wx.in_labels != jxy.x_labels:
-        raise PreconditionError("channel input alphabet must be the X axis")
-    px = jxy.probs.sum(axis=1)
-    if np.any((px > 0) & ~channel_wx.reachable):
-        raise ValidationError("joint puts mass on an unreachable channel row")
-    p_wy = np.einsum("xy,xw->wy", jxy.probs, channel_wx.rows)
-    jwy = Joint2(channel_wx.out_labels, jxy.y_labels, p_wy)
-    log_eta = _log_eta(est, a)
-    lhs = sibson_mi(jwy, a).value_nats
-    rhs = log_eta / (a.value - 1.0) + sibson_mi(
-        jxy, a
-    ).value_nats
-    if lhs > rhs + CHECK_TOL:
-        raise InequalityViolation(
-            f"unconditional contraction check failed: {lhs!r} > {rhs!r} + {CHECK_TOL}"
-        )
-    return lhs, rhs
+
+    def joints():
+        if channel_wx.in_labels != jxy.x_labels:
+            raise PreconditionError("channel input alphabet must be the X axis")
+        px = jxy.probs.sum(axis=1)
+        if np.any((px > 0) & ~channel_wx.reachable):
+            raise ValidationError("joint puts mass on an unreachable channel row")
+        p_wy = np.einsum("xy,xw->wy", jxy.probs, channel_wx.rows)
+        return Joint2(channel_wx.out_labels, jxy.y_labels, p_wy), jxy
+
+    return _additive_check("unconditional", a, est, sibson_mi, joints)

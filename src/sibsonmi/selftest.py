@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_cor_leakage, bound_cor_sdpi, bound_thm1, bound_thm3
-from .core import Alpha, EventMask, Kernel, markov_product, tensor_power
+from .core import Alpha, EventMask, Joint2, Kernel, markov_product, tensor_power
 from .divergences import (
     _hellinger_rows,
     hellinger_integral,
@@ -48,7 +48,7 @@ from .instances import (
     reference_joint,
     z_constant_joint,
 )
-from .oracles import cond_ygz_oracles, cond_z_oracles
+from .oracles import cond_ygz_oracles, cond_z_oracles, min_weighted_radius
 from .sdpi import (
     contraction_search,
     contraction_searches,
@@ -295,13 +295,14 @@ def run_selftest(seed: int = 0) -> list[CheckRow]:
             worst = max(worst, abs(lhs - r1), abs(lhs - r2), abs(r1 - r2))
     rows.append(_row("measure.lmgf_identity", worst <= 1e-9, f"max gap {_fmt(worst)}"))
 
-    meas = [random_pmf(_rng(seed, 15), 3) for _ in range(3)]
+    rng = _rng(seed, 15)
+    meas = [random_pmf(rng, 3) for _ in range(3)]
     w = (0.2, 0.5, 0.3)
     jx = np.array([wi * m.probs for wi, m in zip(w, meas)])
-    from .core import Joint2
-
     assembled = Joint2(("a", "b", "c"), meas[0].labels, jx)
-    gap = abs(info_radius(meas, w, 2) - sibson_mi(assembled, 2).value_nats)
+    closed = info_radius(meas, w, 2)
+    grid, _ = min_weighted_radius(meas, w, 2)
+    gap = max(abs(closed - grid), abs(closed - sibson_mi(assembled, 2).value_nats))
     rows.append(_row("measure.radius_matches_joint", gap <= 1e-6, f"gap {_fmt(gap)}"))
 
     grid = np.geomspace(0.25, 16, 9)

@@ -27,14 +27,8 @@ from .core import (
     _log,
     tensor_power,
 )
-from .divergences import (
-    _log_power_sum,
-    _logsumexp,
-    hellinger_integral,
-    renyi_divergence,
-)
-from .errors import ValidationError
-from .oracles import min_weighted_radius
+from .divergences import _exp, _log_hellinger_rows, _log_power_sum, _logsumexp
+from .errors import ShapeMismatchError, ValidationError
 
 UNCOND = "UNCOND"
 COND_Z = "COND_Z"
@@ -132,20 +126,33 @@ def info_radius(measures, weights, a) -> float:
     """Weighted divergence radius of a family of measures, order a > 1.
 
     (1/(a-1)) min over centres nu of
-    log sum_i w_i exp((a-1) D_a(mu_i || nu)), evaluated by the grid
-    minimiser; this quantity has no dedicated closed form here and the
-    test suite pins it against the assembled-joint identity instead.
+    log sum_i w_i exp((a-1) D_a(mu_i || nu)), in closed form by
+    Sibson's identity: (a/(a-1)) log sum_x (sum_i w_i mu_i(x)^a)^(1/a),
+    attained at nu prop. to the inner sum to the power 1/a.  For weights
+    summing to 1 this is ``sibson_mi`` of the joint w_i mu_i(x); a total
+    W adds log(W)/(a-1).  Measures are pmfs or arrays on one alphabet,
+    weights nonnegative with a positive sum.
     """
     a = Alpha.coerce(a)
     if not (a.is_finite and a.value > 1):
         raise ValidationError("the information radius needs a finite order > 1")
-    labels = measures[0].labels if hasattr(measures[0], "labels") else None
-    if labels is not None:
-        for m in measures:
-            if getattr(m, "labels", labels) != labels:
-                raise ValidationError("measures live on different alphabets")
-    value, _ = min_weighted_radius(measures, weights, a)
-    return value
+    mus, w = _radius_family(measures, weights)
+    av = a.value
+    log_b = _logsumexp(_log(w)[:, None] + av * _log(mus), axis=0)
+    return av / (av - 1.0) * _logsumexp(log_b / av)
+
+
+def _radius_family(measures, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The measures, each validated as a pmf, as one (n, k) array, and
+    the weights."""
+    pmfs = [m if isinstance(m, Pmf) else Pmf(range(np.size(m)), m) for m in measures]
+    w = np.array(weights, dtype=float)
+    labelled = {m.labels for m in measures if isinstance(m, Pmf)}
+    if len(labelled) > 1 or len({len(m) for m in pmfs}) > 1 or w.shape != (len(pmfs),):
+        raise ShapeMismatchError("need measures on one alphabet and one weight each")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
+        raise ValidationError("weights must be finite and nonnegative with a positive sum")
+    return np.stack([m.probs for m in pmfs]), w
 
 
 def cond_sibson_z(j: Joint3, a) -> MiReport:
@@ -237,7 +244,8 @@ def lmgf_representation(j: Joint3, a) -> tuple[float, float, float]:
     (a/(a-1)) log E_Z[exp(((a-1)/a) D_a(P_XY|Z || P_X|Z P_Y|Z))], and
     the route through per-z Hellinger integrals
     (a/(a-1)) log E_Z[(E_prod[(dP/dprod)^a])^(1/a)].  The second and
-    third are computed with the divergence module, not the closed form.
+    third come from one call of the divergence module's row kernel over
+    the reachable z, not from the closed form.
     """
     a = Alpha.coerce(a)
     if not (a.is_finite and a.value > 1):
@@ -246,19 +254,16 @@ def lmgf_representation(j: Joint3, a) -> tuple[float, float, float]:
     lhs = cond_sibson_z(j, a).value_nats
     pz, reach, cxy, cx, cy = j.conditionals_given_z()
     ridx = np.flatnonzero(reach)
-    d_terms = np.empty(len(ridx))
-    h_terms = np.empty(len(ridx))
-    for k, z in enumerate(ridx):
-        prod = np.outer(cx[z], cy[z])
-        d = renyi_divergence(cxy[z], prod, a)
-        h = hellinger_integral(cxy[z], prod, a)
-        if math.isinf(d) or math.isinf(h):
-            return lhs, math.inf, math.inf
-        d_terms[k] = (av - 1.0) / av * d
-        h_terms[k] = math.log(h) / av if h > 0 else -math.inf
+    prod = cx[ridx, :, None] * cy[ridx, None, :]
+    n = len(ridx)
+    lps = _log_hellinger_rows(cxy[ridx].reshape(n, -1), prod.reshape(n, -1), av)
+    d = lps / (av - 1.0)  # per-z divergences
+    h = np.array([_exp(v) for v in lps.tolist()])  # per-z Hellinger integrals
+    if not (np.all(np.isfinite(lps)) and np.all(np.isfinite(h))):
+        return lhs, math.inf, math.inf
     lpz = np.log(pz[ridx])
-    rhs1 = av / (av - 1.0) * _logsumexp(lpz + d_terms)
-    rhs2 = av / (av - 1.0) * _logsumexp(lpz + h_terms)
+    rhs1 = av / (av - 1.0) * _logsumexp(lpz + (av - 1.0) / av * d)
+    rhs2 = av / (av - 1.0) * _logsumexp(lpz + np.log(h) / av)
     return lhs, rhs1, rhs2
 
 

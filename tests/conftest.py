@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sibsonmi.core import Joint3, Kernel
+from sibsonmi.core import EventMask, Joint2, Joint3, Kernel, require_conformal
 from sibsonmi.errors import ShapeMismatchError
 from sibsonmi.instances import reference_joint
 
@@ -32,3 +32,23 @@ def compose(first: Kernel, second: Kernel) -> Kernel:
     return Kernel(
         first.in_labels, second.out_labels, first.rows @ second.rows, first.reachable
     )
+
+
+def independent_joint2(px, py) -> Joint2:
+    """The product of two marginals, on labels "0", "1", ..."""
+    px = np.asarray(px, float)
+    py = np.asarray(py, float)
+    labels = [tuple(str(i) for i in range(len(p))) for p in (px, py)]
+    return Joint2(*labels, np.outer(px, py))
+
+
+def event_slice(e: EventMask, j: Joint3, z) -> np.ndarray:
+    """The (x, y) slice of the event at a fixed z symbol."""
+    require_conformal(e, j)
+    return e.mask[:, :, j.z_labels.index(z)]
+
+
+def event_slice_zy(e: EventMask, j: Joint3, z, y) -> np.ndarray:
+    """The x slice of the event at fixed (z, y) symbols."""
+    require_conformal(e, j)
+    return e.mask[:, j.y_labels.index(y), j.z_labels.index(z)]

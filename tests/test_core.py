@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import copy_joint
+from conftest import copy_joint, event_slice, event_slice_zy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +18,6 @@ from sibsonmi.core import (
     Pmf,
     absolutely_continuous,
     conditional,
-    event_slice,
-    event_slice_zy,
     marginal,
     markov_extend,
     markov_product,

@@ -277,6 +277,23 @@ class TestHellingerRows:
         each = np.array([hellinger_integral(pi, qi, a) for pi, qi in zip(p, q)])
         assert rows.tobytes() == each.tobytes()
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pq=_row_stacks(), a=st.sampled_from((0.3, 0.5, 1.5, 2.0, 4.0, 8.0)))
+    def test_rows_match_linear_definition(self, pq, a):
+        # sum over p > 0 of p (p/q)^(a-1) in linear space, written out: a
+        # q = 0 cell is +inf above order 1 and 0 below it; rows equal
+        # within the mass tolerance are 1 by contract
+        p, q = pq
+        sup = p > 0
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio = np.where(sup, p, 1.0) / np.where(sup, q, 1.0)
+            want = np.where(sup, p * ratio ** (a - 1.0), 0.0).sum(axis=1)
+        want[np.all(np.abs(p - q) <= 1e-12, axis=1)] = 1.0
+        got = _hellinger_rows(p, q, a)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        assert np.allclose(got[fin], want[fin], rtol=1e-12, atol=0.0)
+
     def test_conventions(self):
         p = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [1 - 1e-60, 1e-60, 0.0]])
         q = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [1e-60, 1 - 1e-60, 0.0]])

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,16 @@ def test_oracles_import_only_core_and_errors():
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("sibsonmi") for a in node.names)
     assert local == {"core", "errors"}
+
+
+@pytest.mark.parametrize("module", ["sibson", "divergences", "bounds", "exponents"])
+def test_closed_forms_import_nothing_from_oracles(module):
+    # the other side of the same independence
+    path = pathlib.Path(oracles.__file__).with_name(f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            assert not any(n.endswith("oracles") for n in names)
 
 
 def _scalar_line_search(f_batch, q, d, lo, hi):

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import copy_joint
+from conftest import copy_joint, independent_joint2
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sibsonmi.core import Alpha, Joint2, Joint3, Pmf
 from sibsonmi.divergences import renyi_divergence
-from sibsonmi.errors import ValidationError
+from sibsonmi.errors import ShapeMismatchError, ValidationError
 from sibsonmi.instances import (
     asymmetric_joint,
-    independent_joint2,
     random_joint2,
     random_joint3,
     random_markov_joint,
@@ -139,6 +140,42 @@ class TestInfoRadius:
         m = Pmf(("a", "b"), (0.5, 0.5))
         with pytest.raises(ValidationError):
             info_radius([m, m], (0.5, 0.5), 0.5)
+
+    def test_rejects_unnormalised_measure(self):
+        with pytest.raises(ValidationError, match="normalisation"):
+            info_radius([[0.5, 0.6], [0.2, 0.8]], (0.5, 0.5), 2)
+
+    def test_rejects_negative_entry(self):
+        with pytest.raises(ValidationError, match="nonnegativity"):
+            info_radius([[-0.1, 1.1], [0.2, 0.8]], (0.5, 0.5), 2)
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            info_radius([[math.nan, 1.0], [0.2, 0.8]], (0.5, 0.5), 2)
+
+    def test_rejects_ragged_measures(self):
+        with pytest.raises(ShapeMismatchError):
+            info_radius([[0.5, 0.5], [0.2, 0.3, 0.5]], (0.5, 0.5), 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), a=st.sampled_from((1.5, 2.0, 4.0)))
+    def test_closed_form_matches_grid(self, data, a):
+        # Sibson's identity against the grid minimiser: 1-4 measures on
+        # 2-3 cells with zero cells, and weights that need not sum to 1
+        k = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(1, 4))
+        cell = st.sampled_from((0.0, 1.0, 2.0, 5.0, 0.3))
+        rows = [
+            data.draw(st.lists(cell, min_size=k, max_size=k).filter(any))
+            for _ in range(n)
+        ]
+        measures = [np.array(r) / sum(r) for r in rows]
+        w = data.draw(
+            st.lists(st.sampled_from((0.0, 0.2, 1.0, 3.0)), min_size=n, max_size=n)
+            .filter(any)
+        )
+        oracle, _ = min_weighted_radius(measures, w, a)
+        assert abs(info_radius(measures, w, a) - oracle) <= 1e-12
 
 
 class TestCondSibsonZ:
