@@ -40,14 +40,7 @@ from .exponents import (
     eq_biconjugate,
     lambda_of_alpha,
 )
-from .hyptest import (
-    _checked_claim,
-    _checked_decay_report,
-    _order_above_one,
-    exact_errors,
-    monte_carlo_errors,
-    threshold_test,
-)
+from .hyptest import monte_carlo_errors, theorem6_checks, threshold_test
 from .sdpi import contraction_search, sdpi_unconditional_check
 from .selftest import INFO, run_selftest
 from .sibson import (
@@ -85,22 +78,44 @@ _JSON_WS = re.compile(r"[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
 
 
-def load_joint(path: str) -> Joint3:
-    """Read and validate a distribution file.
+def load_joint(path: str) -> tuple[Joint3, str]:
+    """Read and validate a distribution file; return the joint and the
+    SHA-256 hex digest of exactly the bytes it was parsed from.
 
-    The file is read as UTF-8 (CRLF line ends are accepted). A well-formed
-    file never holds one Python float per probability: ``probs`` is
-    decoded in comma-aligned slices of about 64 K characters into one
-    float64 array, so peak memory is about twice the file size (its bytes
-    and its decoded text) plus the arrays. Any other file is read again
-    as one JSON document, which gives every accepted file the same labels
-    and probabilities and every rejected one the same message.
+    The file is opened and read once. A well-formed file never holds one
+    Python float per probability: ``probs`` is decoded in comma-aligned
+    slices of about 64 K characters into one float64 array, so peak
+    memory is about twice the file size (its bytes and its decoded text)
+    plus the arrays. Any other file is parsed whole from the same text,
+    which gives every file the same joint or the same message as one
+    ``json.load``.
 
     A file that is not UTF-8 JSON, non-finite, negative and out-of-float-
     range entries, and total mass off 1 by more than 1e-9 are rejected as
     ``InputFormatError``; smaller deviations are renormalised away.
     """
-    labels, probs = _read_sliced(path) or _read_whole(path)
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    digest = hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at byte "
+            f"position {exc.start}"
+        ) from exc
+    del raw
+    try:
+        fields = _walk_fields(text)
+    except (ValueError, OverflowError, RecursionError):
+        fields = None
+    labels, probs = fields or _read_whole(path, text)
+    # the text is freed before probs is validated, normalised and copied:
+    # alive, it would overlap those file-sized copies and raise peak memory
+    del text
     nx, ny, nz = map(len, labels)
     if len(probs) != nx * ny * nz:
         raise InputFormatError(
@@ -126,7 +141,7 @@ def load_joint(path: str) -> Joint3:
     if np.any(arr < 0):
         i = int(np.argmin(arr))
         raise InputFormatError(
-            f"{path}: negative entry {arr[i]!r} at flat index {i} "
+            f"{path}: negative entry {float(arr[i])!r} at flat index {i} "
             "violates nonnegativity"
         )
     total = float(arr.sum())
@@ -136,28 +151,7 @@ def load_joint(path: str) -> Joint3:
             f"{LOAD_MASS_TOL}"
         )
     arr = arr / total
-    return Joint3(*labels, arr.reshape(nx, ny, nz))
-
-
-def _read_sliced(path: str):
-    """``(labels, probs array)`` of a well-formed file, else None.
-
-    The top-level object must hold the required fields and no other (a
-    repeated field keeps its last value, as with ``json.load``), labels
-    must be arrays of strings and ``probs`` a flat array of numbers
-    within the float range. Whatever departs from that returns
-    None and is left to ``_read_whole``, which reports it. ``\\r`` may
-    stay untranslated: JSON takes it as whitespace and rejects it raw
-    inside strings, as after newline translation.
-    """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        text = raw.decode("utf-8")
-        del raw
-        return _walk_fields(text)
-    except (OSError, ValueError, OverflowError, RecursionError):
-        return None
+    return Joint3(*labels, arr.reshape(nx, ny, nz)), digest
 
 
 def _skip_to(text: str, pos: int, char: str) -> int:
@@ -169,8 +163,11 @@ def _skip_to(text: str, pos: int, char: str) -> int:
 
 
 def _walk_fields(text: str):
-    """Labels and probs array of the top-level object in ``text``;
-    ValueError on anything ``_read_sliced`` leaves to ``_read_whole``."""
+    """``(labels, probs array)`` of a well-formed document: the required
+    fields and no other (a repeated one keeps its last value), labels
+    arrays of strings, ``probs`` flat numbers in the float range. Anything
+    else raises, and is left to ``_read_whole``. ``\\r`` may stay
+    untranslated: JSON takes it as whitespace and rejects it in strings."""
     fields = {}
     pos = _skip_to(text, 0, "{")
     while len(fields) < len(REQUIRED_FIELDS):
@@ -224,19 +221,12 @@ def _decode_probs(text: str, pos: int):
     return probs, end + 1
 
 
-def _read_whole(path: str):
-    """``(labels, probs list)`` through one ``json.load`` of the whole
-    document, with every rejection reported as ``InputFormatError``."""
+def _read_whole(path: str, text: str):
+    """``(labels, probs list)`` of the whole decoded document, with every
+    rejection an ``InputFormatError``. Line ends are translated first, as
+    by a text-mode read, so a parse error names the same line and column."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(
-            f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at byte "
-            f"position {exc.start}"
-        ) from exc
+        doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
@@ -470,20 +460,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _digest(path: str) -> str:
-    # hashed in 1 MiB blocks: freeing a whole-file buffer raises glibc's
-    # mmap threshold, so the file-sized buffers load_joint reads next
-    # would stay resident after they are freed
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    return digest.hexdigest()
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -500,35 +476,23 @@ class RunConfig:
     output: str | None = None
 
 
-def _base_report(config: RunConfig) -> Report:
+def _base_report(config: RunConfig, digest: str | None) -> Report:
     rep = Report()
     rep.add("tool", f"sibsonmi {__version__}")
     rep.add("command", config.command)
     if config.input_path is not None:
         rep.add("input", config.input_path)
-        rep.add("input_sha256", _digest(config.input_path))
+        rep.add("input_sha256", digest)
     if config.alphas:
         rep.add("alpha", ",".join(str(a) for a in config.alphas))
-    if config.event is not None:
-        rep.add("event", config.event)
-    if config.thm is not None:
-        rep.add("thm", config.thm)
-    if config.grid_step is not None:
-        rep.add("grid_step", config.grid_step)
-    if config.budget is not None:
-        rep.add("budget", config.budget)
-    if config.n is not None:
-        rep.add("n", config.n)
-    if config.tau is not None:
-        rep.add("tau", config.tau)
-    if config.claimed_rate is not None:
-        rep.add("claimed_rate", config.claimed_rate)
+    for key in ("event", "thm", "grid_step", "budget", "n", "tau", "claimed_rate"):
+        if getattr(config, key) is not None:
+            rep.add(key, getattr(config, key))
     rep.add("seed", config.seed)
     return rep
 
 
-def _cmd_measure(config: RunConfig, rep: Report) -> int:
-    j = load_joint(config.input_path)
+def _cmd_measure(config: RunConfig, rep: Report, j: Joint3) -> int:
     jxy = j.marginal_xy()
     rep.columns = ("operation", "alpha", "value_nats")
     for a in config.alphas:
@@ -541,8 +505,7 @@ def _cmd_measure(config: RunConfig, rep: Report) -> int:
     return 0
 
 
-def _cmd_bound(config: RunConfig, rep: Report) -> int:
-    j = load_joint(config.input_path)
+def _cmd_bound(config: RunConfig, rep: Report, j: Joint3) -> int:
     if config.event is None:
         raise ValidationError("the bound command needs --event")
     e = parse_event(config.event, j)
@@ -569,8 +532,7 @@ def _cmd_bound(config: RunConfig, rep: Report) -> int:
     return status
 
 
-def _cmd_sdpi(config: RunConfig, rep: Report) -> int:
-    j = load_joint(config.input_path)
+def _cmd_sdpi(config: RunConfig, rep: Report, j: Joint3) -> int:
     alphas = config.alphas or (Alpha(2.0),)
     budget = 10_000 if config.budget is None else config.budget
     jxy = j.marginal_xy()
@@ -598,8 +560,7 @@ def _cmd_sdpi(config: RunConfig, rep: Report) -> int:
     return status
 
 
-def _cmd_simulate(config: RunConfig, rep: Report) -> int:
-    j = load_joint(config.input_path)
+def _cmd_simulate(config: RunConfig, rep: Report, j: Joint3) -> int:
     if config.n is None or config.tau is None:
         raise ValidationError("the simulate command needs --n and --tau")
     test = threshold_test(j, config.tau, config.n)
@@ -608,11 +569,7 @@ def _cmd_simulate(config: RunConfig, rep: Report) -> int:
         "operation", "alpha", "p1", "p2_worst", "rate", "lhs", "rhs",
         "certified", "halfwidth", "pass",
     )
-    alphas = [_order_above_one(a) for a in config.alphas]
-    _checked_claim(config.claimed_rate)
-    er = exact_errors(j, test, qz_grid_step=step)
-    checks = [_checked_decay_report(j, test, a, er, config.claimed_rate)
-              for a in alphas]
+    er, checks = theorem6_checks(j, test, config.alphas, step, config.claimed_rate)
     rep.add_row("exact_errors", "", er.p1, er.p2_worst, er.rate_R, "", "",
                 "", "", True)
     status = 0
@@ -633,8 +590,7 @@ def _cmd_simulate(config: RunConfig, rep: Report) -> int:
     return status
 
 
-def _cmd_exponent(config: RunConfig, rep: Report) -> int:
-    j = load_joint(config.input_path)
+def _cmd_exponent(config: RunConfig, rep: Report, j: Joint3) -> int:
     agrid = default_alpha_grid()
     lgrid = [lambda_of_alpha(a) for a in agrid]
     cc = ep_star_grid(j, lgrid)
@@ -651,7 +607,7 @@ def _cmd_exponent(config: RunConfig, rep: Report) -> int:
     return 0 if convex_ok else 1
 
 
-def _cmd_selftest(config: RunConfig, rep: Report) -> int:
+def _cmd_selftest(config: RunConfig, rep: Report, j: Joint3 | None) -> int:
     rows = run_selftest(seed=config.seed)
     rep.columns = ("check", "status", "detail")
     status = 0
@@ -674,9 +630,15 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a config, write the report, return the exit status."""
-    rep = _base_report(config)
-    status = _COMMANDS[config.command](config, rep)
+    """Dispatch a config, write the report, return the exit status.
+
+    An input file is loaded once, before any other check, and handed to
+    the command (``selftest`` only validates it)."""
+    j = digest = None
+    if config.input_path is not None:
+        j, digest = load_joint(config.input_path)
+    rep = _base_report(config, digest)
+    status = _COMMANDS[config.command](config, rep, j)
     rep.add("exit_status", status)
     text = rep.render()
     if config.output:

@@ -53,9 +53,9 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 def _check_mass(probs: np.ndarray, what: str) -> None:
     _check_finite(probs, what)
     if np.any(probs < 0):
-        idx = np.unravel_index(int(np.argmin(probs)), probs.shape)
+        idx = tuple(map(int, np.unravel_index(int(np.argmin(probs)), probs.shape)))
         raise ValidationError(
-            f"{what} violates nonnegativity: entry {idx} = {probs[idx]!r}"
+            f"{what} violates nonnegativity: entry {idx} = {float(probs[idx])!r}"
         )
     total = float(probs.sum())
     if abs(total - 1.0) > MASS_TOL:
@@ -194,12 +194,6 @@ class Pmf:
     def __init__(self, labels: Iterable, probs):
         self.labels, self.probs = _labelled_probs(probs, ("pmf labels", labels))
 
-    def index(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ShapeMismatchError(f"unknown symbol {label!r}") from None
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -279,21 +273,6 @@ class Kernel:
         reach.flags.writeable = False
         self.rows = r
         self.reachable = reach
-
-    def row(self, label) -> Pmf:
-        i = self.in_labels.index(label)
-        if not self.reachable[i]:
-            raise ValidationError(f"row {label!r} is unreachable")
-        return Pmf(self.out_labels, self.rows[i])
-
-    def apply(self, mu) -> np.ndarray:
-        """Push an input distribution through the kernel (mu K)."""
-        m = np.asarray(mu, dtype=float)
-        if m.shape != (len(self.in_labels),):
-            raise ShapeMismatchError("input distribution has wrong length")
-        if np.any((m > 0) & ~self.reachable):
-            raise ValidationError("input puts mass on an unreachable row")
-        return m @ self.rows
 
     def __repr__(self) -> str:
         return f"Kernel({len(self.in_labels)}x{len(self.out_labels)})"

@@ -27,12 +27,6 @@ class ConvexConjugate:
     sample_grid: tuple[tuple[float, float], ...]  # (argument, value)
     closed_form: str | None = None
 
-    def value_at(self, arg: float) -> float:
-        for x, v in self.sample_grid:
-            if x == arg:
-                return v
-        raise KeyError(arg)
-
     def max_convexity_violation(self) -> float:
         """Largest midpoint-convexity defect along the grid (0 if convex)."""
         pts = sorted(self.sample_grid)

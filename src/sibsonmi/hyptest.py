@@ -395,7 +395,8 @@ def theorem6_check(
     qz_grid_step: float = 0.01,
     claimed_rate: float | None = None,
 ) -> Theorem6Report:
-    """Check 1 - p1 <= exp(-((a-1)/a) n (R - I^Z(X,Y|Z))).
+    """Check 1 - p1 <= exp(-((a-1)/a) n (R - I^Z(X,Y|Z))) at one order:
+    the one-order call of ``theorem6_checks``.
 
     The premise (type-2 error <= exp(-nR) for every alternative) is
     certified only when the grid minimum rate exceeds the claimed R by
@@ -405,23 +406,39 @@ def theorem6_check(
     the grid rate minus the margin.  Raises InequalityViolation if a
     certified check fails beyond 1e-9.
     """
-    a = _order_above_one(a)
+    return theorem6_checks(j, test, [a], qz_grid_step, claimed_rate)[1][0]
+
+
+def theorem6_checks(
+    j: Joint3,
+    test: ThresholdTest,
+    alphas,
+    qz_grid_step: float = 0.01,
+    claimed_rate: float | None = None,
+) -> tuple[ErrorReport, list[Theorem6Report]]:
+    """The decay check of ``theorem6_check`` at several orders from one
+    exact-error table; return that table and one report per order.
+
+    Every order (above 1) and the claim (not NaN) are validated before
+    anything is priced, so a bad argument raises ValidationError without
+    running ``exact_errors``, which then runs once for all the orders,
+    even for none.  Raises InequalityViolation at the first certified
+    order whose check fails beyond 1e-9.
+    """
+    alphas = [_order_above_one(a) for a in alphas]
+    _checked_claim(claimed_rate)
     er = exact_errors(j, test, qz_grid_step=qz_grid_step)
-    return _checked_decay_report(j, test, a, er, claimed_rate)
-
-
-def _checked_decay_report(
-    j: Joint3, test: ThresholdTest, a: Alpha, er: ErrorReport, claimed_rate
-) -> Theorem6Report:
-    """The decay report at one order; raises InequalityViolation if a
-    certified check fails beyond 1e-9."""
-    report = _decay_report(test, a, er, cond_sibson_z(j, a).value_nats, claimed_rate)
-    if report.certified and report.lhs > report.rhs + CHECK_TOL:
-        raise InequalityViolation(
-            f"decay bound failed at n={test.n}, order {a}: "
-            f"{report.lhs!r} > {report.rhs!r}"
-        )
-    return report
+    reports = []
+    for a in alphas:
+        report = _decay_report(test, a, er, cond_sibson_z(j, a).value_nats,
+                               claimed_rate)
+        if report.certified and report.lhs > report.rhs + CHECK_TOL:
+            raise InequalityViolation(
+                f"decay bound failed at n={test.n}, order {a}: "
+                f"{report.lhs!r} > {report.rhs!r}"
+            )
+        reports.append(report)
+    return er, reports
 
 
 @dataclass(frozen=True)

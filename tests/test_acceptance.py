@@ -195,7 +195,7 @@ def test_criterion_6_symmetry_dpi_contraction():
         for a in (1.5, 2.0, 4.0, 8.0):
             worst_dpi = max(
                 worst_dpi,
-                hellinger_integral(k.apply(mu), k.apply(nu), a)
+                hellinger_integral(mu @ k.rows, nu @ k.rows, a)
                 - hellinger_integral(mu, nu, a),
             )
     failures = 0

@@ -1,3 +1,6 @@
+import ast
+import builtins
+import hashlib
 import json
 import math
 import os
@@ -54,12 +57,12 @@ def base_doc():
 
 class TestLoadJoint:
     def test_round_trip(self, ref_path):
-        j = load_joint(ref_path)
+        j, _ = load_joint(ref_path)
         assert np.allclose(j.probs, reference_joint().probs)
         assert j.x_labels == ("0", "1")
 
     def test_well_formed(self, tmp_path):
-        j = load_joint(write_doc(tmp_path, base_doc()))
+        j, _ = load_joint(write_doc(tmp_path, base_doc()))
         assert j.shape == (2, 2, 2)
         # row-major x-major ordering: flat index 3 is (x=0, y=1, z=1)
         assert j.probs[0, 1, 1] == 0.125
@@ -73,7 +76,7 @@ class TestLoadJoint:
     def test_small_mass_deviation_renormalised(self, tmp_path):
         doc = base_doc()
         doc["probs"][0] += 5e-10
-        j = load_joint(write_doc(tmp_path, doc))
+        j, _ = load_joint(write_doc(tmp_path, doc))
         assert abs(j.probs.sum() - 1.0) <= 1e-12
 
     def test_negative_entry_rejected(self, tmp_path):
@@ -194,7 +197,7 @@ def test_load_joint_gives_joint_or_package_error(raw):
         with open(path, "wb") as fh:
             fh.write(raw)
         try:
-            j = load_joint(path)
+            j, _ = load_joint(path)
         except SibsonmiError:
             return
     assert isinstance(j, Joint3)
@@ -203,9 +206,10 @@ def test_load_joint_gives_joint_or_package_error(raw):
 # --- the sliced reader against the whole-document reader ------------------
 
 
-def _reference_load_joint(path: str) -> Joint3:
-    """``load_joint`` as one ``json.load`` of the whole document: the
-    reference the sliced reader must match."""
+def _reference_load_joint(path: str) -> tuple[Joint3, str]:
+    """``load_joint`` as one ``json.load`` of the whole document and a
+    separate hash of the file: the reference the one-read loader must
+    match."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -267,7 +271,7 @@ def _reference_load_joint(path: str) -> Joint3:
     if np.any(arr < 0):
         i = int(np.argmin(arr))
         raise InputFormatError(
-            f"{path}: negative entry {arr[i]!r} at flat index {i} "
+            f"{path}: negative entry {float(arr[i])!r} at flat index {i} "
             "violates nonnegativity"
         )
     total = float(arr.sum())
@@ -277,21 +281,24 @@ def _reference_load_joint(path: str) -> Joint3:
             f"{LOAD_MASS_TOL}"
         )
     arr = arr / total
-    return Joint3(
+    j = Joint3(
         labels["x_labels"],
         labels["y_labels"],
         labels["z_labels"],
         arr.reshape(nx, ny, nz),
     )
+    with open(path, "rb") as fh:
+        return j, hashlib.sha256(fh.read()).hexdigest()
 
 
 def _outcome(loader, path):
-    """Labels and probability bytes, or the error's type and message."""
+    """Labels, probability bytes and digest, or the error's type and
+    message."""
     try:
-        j = loader(path)
+        j, digest = loader(path)
     except SibsonmiError as exc:
         return type(exc), str(exc)
-    return j.x_labels, j.y_labels, j.z_labels, j.probs.tobytes()
+    return j.x_labels, j.y_labels, j.z_labels, j.probs.tobytes(), digest
 
 
 def _assert_loaders_agree(path):
@@ -400,31 +407,42 @@ def _write_probs_body(tmp_path, shape, body):
     return str(path)
 
 
+def _walked(path):
+    """The walker's ``(labels, probs)`` on the file's decoded text, or None
+    where ``load_joint`` falls back to the whole-document parse."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    try:
+        return cli._walk_fields(text)
+    except (ValueError, OverflowError, RecursionError):
+        return None
+
+
 class TestProbsSlices:
     @pytest.mark.parametrize("body", ["", " \r\n\t "])
     def test_empty_body(self, tmp_path, body):
         path = _write_probs_body(tmp_path, (1, 1, 1), body)
         _assert_loaders_agree(path)
-        assert cli._read_sliced(path) is None
+        assert _walked(path) is None
 
     def test_one_element(self, tmp_path):
         path = _write_probs_body(tmp_path, (1, 1, 1), "1")
         _assert_loaders_agree(path)
-        assert cli._read_sliced(path)[1].tolist() == [1.0]
+        assert _walked(path)[1].tolist() == [1.0]
 
     def test_body_of_exactly_one_slice(self, tmp_path, monkeypatch):
         body = ",".join(["0.125"] * 8)
         monkeypatch.setattr(cli, "_SLICE_CHARS", len(body))
         path = _write_probs_body(tmp_path, (2, 2, 2), body)
         _assert_loaders_agree(path)
-        assert cli._read_sliced(path)[1].tolist() == [0.125] * 8
+        assert _walked(path)[1].tolist() == [0.125] * 8
 
     def test_comma_at_slice_boundary(self, tmp_path, monkeypatch):
         # every slice of 5 characters ends exactly on a comma
         monkeypatch.setattr(cli, "_SLICE_CHARS", len("0.125"))
         path = _write_probs_body(tmp_path, (2, 2, 2), ",".join(["0.125"] * 8))
         _assert_loaders_agree(path)
-        assert cli._read_sliced(path)[1].tolist() == [0.125] * 8
+        assert _walked(path)[1].tolist() == [0.125] * 8
 
     @pytest.mark.parametrize("slice_chars", [1, 7, 64, 1 << 16])
     def test_many_slices(self, tmp_path, monkeypatch, slice_chars):
@@ -433,7 +451,90 @@ class TestProbsSlices:
         body = ",\r\n ".join(map(repr, probs.tolist()))
         path = _write_probs_body(tmp_path, (10, 10, 15), body)
         _assert_loaders_agree(path)
-        assert cli._read_sliced(path)[1].tobytes() == probs.tobytes()
+        assert _walked(path)[1].tobytes() == probs.tobytes()
+
+
+# --- one read of the input per invocation ---------------------------------
+
+_FILE_COMMANDS = [
+    ["measure", "--alpha", "2"],
+    ["bound", "--thm", "3", "--alpha", "2", "--event", "x==y"],
+    ["sdpi", "--alpha", "2", "--budget", "100"],
+    ["simulate", "--n", "2", "--tau", "0.5", "--alpha", "2"],
+    ["exponent"],
+]
+
+
+def _fallback_doc(tmp_path):
+    """A file the walker rejects (an earlier ``probs`` that is not an
+    array) but the whole-document parse accepts (the last one counts)."""
+    path = tmp_path / "repeat.json"
+    path.write_text('{"probs": null, ' + json.dumps(base_doc())[1:])
+    assert _walked(str(path)) is None
+    return str(path)
+
+
+def _count_opens(monkeypatch, path):
+    opens = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == path:
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opens
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("args", _FILE_COMMANDS, ids=lambda a: a[0])
+def test_each_command_opens_its_input_once(tmp_path, monkeypatch, args, fallback):
+    path = _fallback_doc(tmp_path) if fallback else write_doc(tmp_path, base_doc())
+    out = tmp_path / "r.txt"
+    opens = _count_opens(monkeypatch, path)
+    assert main([*args, "--input", path, "--output", str(out)]) == 0
+    assert len(opens) == 1
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert f"input_sha256: {digest}\n" in out.read_text()
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"])
+def test_malformed_document_line_ends_translated(tmp_path, eol):
+    # a text-mode json.load counts a lone \r as a line end too
+    text = json.dumps(base_doc(), indent=1).replace("0.125,", "0.125,,", 1)
+    path = tmp_path / "eol.json"
+    path.write_bytes(text.replace("\n", eol).encode())
+    with pytest.raises(InputFormatError) as info:
+        load_joint(str(path))
+    assert str(info.value) == (
+        f"{path}: parse error at line 16, column 9: Expecting value"
+    )
+    _assert_loaders_agree(str(path))
+
+
+def test_selftest_validates_its_input(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"x_labels": [')
+    assert main(["selftest", "--input", str(path)]) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "InputFormatError"
+    assert record["message"].startswith(f"{path}: parse error at line 1")
+
+
+def test_cli_imports_no_private_package_name():
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "sibsonmi")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 # ru_maxrss of a child keeps the peak of the process that launched it
@@ -839,7 +940,6 @@ class TestReproducibility:
 
 
 def test_simulate_prices_exact_errors_once_per_order(ref_path, tmp_path, monkeypatch):
-    import sibsonmi.cli as cli
     import sibsonmi.hyptest as hyptest
 
     calls = []
@@ -849,7 +949,6 @@ def test_simulate_prices_exact_errors_once_per_order(ref_path, tmp_path, monkeyp
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "exact_errors", counted)
     monkeypatch.setattr(hyptest, "exact_errors", counted)
     base = ["simulate", "--input", ref_path, "--n", "3", "--tau", "0.5"]
     assert main([*base, "--alpha", "2", "--output", str(tmp_path / "a.txt")]) == 0
@@ -880,7 +979,6 @@ def test_simulate_claim_far_below_information_is_vacuous(ref_path, tmp_path):
 
 
 def test_simulate_prices_exact_errors_once_for_all_orders(ref_path, tmp_path, monkeypatch):
-    import sibsonmi.cli as cli
     import sibsonmi.hyptest as hyptest
 
     calls = []
@@ -890,7 +988,6 @@ def test_simulate_prices_exact_errors_once_for_all_orders(ref_path, tmp_path, mo
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "exact_errors", counted)
     monkeypatch.setattr(hyptest, "exact_errors", counted)
     out = tmp_path / "s.txt"
     args = ["simulate", "--input", ref_path, "--n", "3", "--tau", "0.5",
@@ -991,6 +1088,18 @@ def test_unreadable_input_is_error_record(tmp_path, capsys, raw, message):
     record = _error_record(capsys)
     assert record["error"] == "InputFormatError"
     assert record["message"].endswith(message)
+
+
+def test_negative_entry_record_prints_python_numbers(tmp_path, capsys):
+    doc = base_doc()
+    doc["probs"][1] = -0.1
+    path = write_doc(tmp_path, doc)
+    assert main(["measure", "--input", path, "--alpha", "2"]) == 2
+    assert _error_record(capsys) == {
+        "error": "InputFormatError",
+        "message": f"{path}: negative entry -0.1 at flat index 1 violates "
+        "nonnegativity",
+    }
 
 
 @pytest.mark.parametrize(

@@ -56,6 +56,12 @@ class TestValidation:
         with pytest.raises(ValidationError, match="nonnegativity"):
             Pmf(("a", "b"), (-0.1, 1.1))
 
+    def test_negative_entry_message_prints_python_numbers(self):
+        # no numpy scalar reprs, so the text is the same under numpy 1 and 2
+        with pytest.raises(ValidationError) as info:
+            Pmf(["a", "b"], [-0.1, 1.1])
+        assert str(info.value) == "pmf violates nonnegativity: entry (0,) = -0.1"
+
     def test_pmf_rejects_bad_mass(self):
         with pytest.raises(ValidationError, match="normalisation"):
             Pmf(("a", "b"), (0.6, 0.6))
@@ -94,8 +100,6 @@ class TestValidation:
     def test_kernel_unreachable_rows_zero(self):
         k = Kernel(("0", "1"), ("0", "1"), [[0.5, 0.5], [0, 0]], (True, False))
         assert not k.reachable[1]
-        with pytest.raises(ValidationError, match="unreachable"):
-            k.row("1")
 
 
 class TestAlpha:

@@ -31,8 +31,8 @@ class TestNumericConjugate:
     def test_square_function(self):
         xs = np.linspace(-3, 3, 6001)
         cc = numeric_conjugate([(x, x * x) for x in xs], [2.0, -1.0])
-        assert abs(cc.value_at(2.0) - 1.0) <= 1e-5
-        assert abs(cc.value_at(-1.0) - 0.25) <= 1e-5
+        assert abs(dict(cc.sample_grid)[2.0] - 1.0) <= 1e-5
+        assert abs(dict(cc.sample_grid)[-1.0] - 0.25) <= 1e-5
 
     def test_biconjugate_round_trip(self):
         xs = np.linspace(-2, 2, 2001)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from sibsonmi.hyptest import (
     exponent_sweep,
     monte_carlo_errors,
     theorem6_check,
+    theorem6_checks,
     threshold_test,
 )
 from sibsonmi.instances import random_joint3, random_markov_joint, reference_joint
@@ -367,23 +370,26 @@ class TestExponentSweep:
                            claimed_rate=math.nan)
 
 
+def _count_calls(monkeypatch, name, fn=None):
+    """Record the positional arguments of every call to ``hyptest.<name>``,
+    which runs ``fn`` (default: the function itself)."""
+    import sibsonmi.hyptest as hyptest
+
+    calls = []
+    fn = fn or getattr(hyptest, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(hyptest, name, counted)
+    return calls
+
+
 class TestSweepSharesDecayReport:
-    def _count(self, monkeypatch, name):
-        import sibsonmi.hyptest as hyptest
-
-        calls = []
-        fn = getattr(hyptest, name)
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(hyptest, name, counted)
-        return calls
-
     def test_one_exact_errors_per_n_and_one_measure_per_order(self, ref, monkeypatch):
-        exact = self._count(monkeypatch, "exact_errors")
-        measure = self._count(monkeypatch, "cond_sibson_z")
+        exact = _count_calls(monkeypatch, "exact_errors")
+        measure = _count_calls(monkeypatch, "cond_sibson_z")
         orders = (1.5, 2.0, 4.0, Alpha.INFINITY)
         exponent_sweep(ref, threshold_test(ref, 0.5, 1), orders, (1, 2, 3))
         assert [args[1].n for args in exact] == [1, 2, 3]
@@ -404,3 +410,59 @@ class TestSweepSharesDecayReport:
             assert row.certified == t6.certified
         if tau == 9.0:
             assert all(r.bound == -math.inf for r in sw.rows)
+
+
+def _report_fields(report):
+    """Every field of a dataclass report, nested reports as their fields."""
+    return {
+        f.name: _report_fields(v) if dataclasses.is_dataclass(v) else v
+        for f in dataclasses.fields(report)
+        for v in [getattr(report, f.name)]
+    }
+
+
+class TestTheorem6Checks:
+    @pytest.mark.parametrize(
+        "tau, claimed", [(0.5, 0.5), (0.5, None), (0.0, None), (9.0, None), (0.5, 0.1)]
+    )
+    def test_one_table_matches_one_order_checks(self, ref, monkeypatch, tau, claimed):
+        orders = (1.5, 2.0, 4.0, Alpha.INFINITY)
+        test = threshold_test(ref, tau, 3)
+        singles = [theorem6_check(ref, test, a, 0.05, claimed) for a in orders]
+        exact = _count_calls(monkeypatch, "exact_errors")
+        er, reports = theorem6_checks(ref, test, orders, 0.05, claimed)
+        assert len(exact) == 1
+        assert [r.exact for r in reports] == [er] * len(orders)
+        assert [_report_fields(r) for r in reports] == [
+            _report_fields(t6) for t6 in singles
+        ]
+
+    def test_no_orders_still_prices_the_table(self, ref):
+        test = threshold_test(ref, 0.5, 2)
+        er, reports = theorem6_checks(ref, test, ())
+        assert reports == []
+        assert _report_fields(er) == _report_fields(exact_errors(ref, test))
+
+    @pytest.mark.parametrize(
+        "orders, claimed, message",
+        [((), math.nan, "claimed rate"), ((2.0, 0.5), 0.5, "order above 1"),
+         ((2.0,), math.nan, "claimed rate")],
+    )
+    def test_arguments_checked_before_pricing(self, ref, monkeypatch, orders,
+                                              claimed, message):
+        exact = _count_calls(monkeypatch, "exact_errors")
+        with pytest.raises(ValidationError, match=message):
+            theorem6_checks(ref, threshold_test(ref, 0.5, 3), orders,
+                            claimed_rate=claimed)
+        assert exact == []
+
+    def test_raises_at_the_first_failing_order(self, ref, monkeypatch):
+        # a measure far below the claim makes the certified bound fail
+        def measure(j, a):
+            value = -100.0 if a == Alpha(4.0) else cond_sibson_z(j, a).value_nats
+            return types.SimpleNamespace(value_nats=value)
+
+        _count_calls(monkeypatch, "cond_sibson_z", measure)
+        test = threshold_test(ref, 0.5, 3)
+        with pytest.raises(InequalityViolation, match="order 4:"):
+            theorem6_checks(ref, test, (2.0, 4.0, 8.0), claimed_rate=0.5)
