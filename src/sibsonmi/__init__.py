@@ -29,6 +29,7 @@ from .sibson import (
     cond_maximal_leakage,
     cond_sibson_ygz,
     cond_sibson_z,
+    cond_sibson_z_values,
     conditional_mi,
     info_radius,
     lmgf_representation,
@@ -53,6 +54,7 @@ __all__ = [
     "cond_maximal_leakage",
     "cond_sibson_ygz",
     "cond_sibson_z",
+    "cond_sibson_z_values",
     "conditional",
     "conditional_mi",
     "hellinger_integral",

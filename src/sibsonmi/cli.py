@@ -629,11 +629,21 @@ _COMMANDS = {
 }
 
 
+def _check_request(command: str, input_path: str | None, seed: int) -> None:
+    if command != "selftest" and not input_path:
+        raise ValidationError("--input is required")
+    if seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {seed}")
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a config, write the report, return the exit status.
 
-    An input file is loaded once, before any other check, and handed to
-    the command (``selftest`` only validates it)."""
+    A file command without an input and a negative seed raise
+    ValidationError first.  An input file is loaded once, before any
+    other check, and handed to the command (``selftest`` only validates
+    it)."""
+    _check_request(config.command, config.input_path, config.seed)
     j = digest = None
     if config.input_path is not None:
         j, digest = load_joint(config.input_path)
@@ -700,10 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command != "selftest" and not args.input:
-            raise ValidationError("--input is required")
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+        # before the orders are parsed, so these two errors come first
+        _check_request(args.command, args.input, args.seed)
         config = RunConfig(
             command=args.command,
             input_path=args.input,

@@ -81,19 +81,18 @@ def _equal_rows(p: np.ndarray, q: np.ndarray):
     return (np.abs(p - q) <= _NEG_CLAMP).all(axis=-1)
 
 
-def _clamp(v: float) -> float:
+def _clamp(v):
     # log-space rounding can leave a divergence of two equal measures a
     # few ulps below zero; snap those (and -0.0) to the exact boundary value
-    if -_NEG_CLAMP < v <= 0.0:
-        return 0.0
-    return v
+    return np.where((-_NEG_CLAMP < v) & (v <= 0.0), 0.0, v)
 
 
-def _log_hellinger_rows(p, q, av: float) -> np.ndarray:
+def _log_hellinger_rows(p, q, av) -> np.ndarray:
     """log sum p^a q^(1-a) along the last axis of two stacks of measures
     at the finite order av, with the conventions above (no common support
     gives -inf): the one finite-order kernel.  Rows equal within the mass
-    tolerance give exactly 0.
+    tolerance give exactly 0.  ``av`` is one order, or an array of orders
+    shaped to broadcast along a leading axis of the result.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -103,7 +102,7 @@ def _log_hellinger_rows(p, q, av: float) -> np.ndarray:
     lp, lq = np.full(p.shape, -math.inf), np.zeros(q.shape)
     lp[sup], lq[sup] = np.log(p[sup]), _log(q[sup])
     out = _log_power_sum(lp, lq, av, axis=-1)
-    out[_equal_rows(p, q)] = 0.0
+    out[..., _equal_rows(p, q)] = 0.0
     return out
 
 
@@ -129,11 +128,9 @@ def renyi_divergence(p, q, a) -> float:
     order exceeds 1 and q fails to dominate p.
     """
     a = Alpha.coerce(a)
-    pa, qa = _pair(p, q)
     if a.is_finite:
-        lps = float(_log_hellinger_rows(pa[None], qa[None], a.value)[0])
-        # an empty sum means no common support: +inf for every order
-        return math.inf if lps == -math.inf else _clamp(lps / (a.value - 1.0))
+        return float(_renyi_orders(p, q, np.array([a.value]))[0])
+    pa, qa = _pair(p, q)
     if _equal_rows(pa, qa):
         return 0.0
     sup = pa > 0
@@ -141,8 +138,17 @@ def renyi_divergence(p, q, a) -> float:
         return math.inf
     ratio = pa[sup] / qa[sup]
     if a.is_one:
-        return _clamp(float(np.sum(pa[sup] * np.log(ratio))))
-    return _clamp(float(np.log(np.max(ratio))))
+        return float(_clamp(np.sum(pa[sup] * np.log(ratio))))
+    return float(_clamp(np.log(np.max(ratio))))
+
+
+def _renyi_orders(p, q, avs: np.ndarray) -> np.ndarray:
+    """``renyi_divergence(p, q, a)`` at every finite order of the vector
+    ``avs``, each bit-identical to its one-order call."""
+    pa, qa = _pair(p, q)
+    lps = _log_hellinger_rows(pa[None], qa[None], avs[:, None, None])[:, 0]
+    # an empty sum means no common support: +inf for every order
+    return np.where(lps == -math.inf, math.inf, _clamp(lps / (avs - 1.0)))
 
 
 def kl_divergence(p, q) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Alpha, Joint3
 from .errors import ValidationError
-from .sibson import cond_sibson_z
+from .sibson import cond_sibson_z, cond_sibson_z_values
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,23 @@ def ep_star(j: Joint3, lam: float) -> float:
 
     +inf for lam > 0, zero at the origin, and
     lam * I^Z(X,Y|Z) at order 1/(1-lam) for lam < 0 (an order in (0,1)).
-    Convex and nonpositive on the closed negative axis.
+    Convex and nonpositive on the closed negative axis.  The one-slope
+    call of ``ep_star_grid``.
     """
-    lam = float(lam)
-    if lam > 0:
-        return math.inf
-    if lam == 0:
-        return 0.0
-    return lam * cond_sibson_z(j, Alpha(alpha_of_lambda(lam))).value_nats
+    return ep_star_grid(j, [lam]).sample_grid[0][1]
 
 
 def ep_star_grid(j: Joint3, lambdas) -> ConvexConjugate:
-    """Sample ``ep_star`` on a slope grid (for convexity and round trips)."""
-    grid = tuple((float(l), ep_star(j, l)) for l in lambdas)
+    """Sample ``ep_star`` on a slope grid (for convexity and round trips),
+    with every negative slope priced in one order-grid call."""
+    lams = np.array([float(l) for l in lambdas])
+    values = np.where(lams > 0, math.inf, 0.0)
+    # slopes neither positive nor zero, NaN included, go to the measure,
+    # which raises for them
+    rest = ~((lams > 0) | (lams == 0))
+    orders = [alpha_of_lambda(l) for l in lams[rest]]
+    values[rest] = lams[rest] * cond_sibson_z_values(j, orders)
+    grid = tuple(zip(lams.tolist(), values.tolist()))
     return ConvexConjugate(sample_grid=grid, closed_form="ep_star")
 
 
@@ -119,18 +123,17 @@ def _check_grid(alpha_grid) -> np.ndarray:
     return grid
 
 
-def _grid_max(grid, value_at) -> GridMax:
-    """The first strict maximum of ``value_at`` over the order grid.
+def _grid_max(grid: np.ndarray, values: np.ndarray) -> GridMax:
+    """The first strict maximum of ``values`` over the order grid.
 
-    A point valued -inf never wins, so a grid with no better point
+    Neither -inf nor NaN ever wins, so a grid with no other value
     gives ``(-inf, nan)``.
     """
-    best_v, best_a = -math.inf, float("nan")
-    for av in grid:
-        v = value_at(av)
-        if v > best_v:
-            best_v, best_a = v, float(av)
-    return GridMax(value=best_v, alpha=best_a)
+    ok = np.flatnonzero(values > -math.inf)
+    if not len(ok):
+        return GridMax(value=-math.inf, alpha=float("nan"))
+    k = ok[np.argmax(values[ok])]
+    return GridMax(value=float(values[k]), alpha=float(grid[k]))
 
 
 def ep_biconjugate(j: Joint3, e_q: float, alpha_grid=None) -> GridMax:
@@ -139,14 +142,12 @@ def ep_biconjugate(j: Joint3, e_q: float, alpha_grid=None) -> GridMax:
     The a = 1 point contributes exactly 0 (its factor vanishes);
     nonincreasing in ``e_q``.
     """
-
-    def value_at(av):
-        if av == 1.0:
-            return 0.0
-        i = cond_sibson_z(j, Alpha(av)).value_nats
-        return (1.0 - av) / av * (i - e_q)
-
-    return _grid_max(_check_grid(alpha_grid), value_at)
+    grid = _check_grid(alpha_grid)
+    values = np.zeros(len(grid))
+    inner = grid != 1.0
+    av = grid[inner]
+    values[inner] = (1.0 - av) / av * (cond_sibson_z_values(j, av) - e_q)
+    return _grid_max(grid, values)
 
 
 def eq_biconjugate(j: Joint3, e_p: float, alpha_grid=None) -> GridMax:
@@ -156,11 +157,11 @@ def eq_biconjugate(j: Joint3, e_p: float, alpha_grid=None) -> GridMax:
     E_P = 0, where it contributes the order-1 value I(X;Y|Z);
     nonincreasing in ``e_p``.
     """
-
-    def value_at(av):
-        if av == 1.0:
-            return cond_sibson_z(j, Alpha.ONE).value_nats if e_p == 0.0 else -math.inf
-        i = cond_sibson_z(j, Alpha(av)).value_nats
-        return i - av / (1.0 - av) * e_p
-
-    return _grid_max(_check_grid(alpha_grid), value_at)
+    grid = _check_grid(alpha_grid)
+    inner = grid != 1.0
+    values = np.full(len(grid), -math.inf)
+    if e_p == 0.0 and not inner.all():
+        values[~inner] = cond_sibson_z(j, Alpha.ONE).value_nats
+    av = grid[inner]
+    values[inner] = cond_sibson_z_values(j, av) - av / (1.0 - av) * e_p
+    return _grid_max(grid, values)

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .oracles import simplex_grid
-from .sibson import cond_sibson_z
+from .sibson import cond_sibson_z, cond_sibson_z_values
 
 SCORE_QUANT = 1e-9  # scores are pooled on this lattice before convolution
 STATE_CAP = 10**6
@@ -388,6 +388,13 @@ def _decay_report(
     )
 
 
+def _cond_z_at(j: Joint3, alphas: list[Alpha]) -> list[float]:
+    """I^Z at each order, the finite ones priced in one grid call."""
+    finite = iter(cond_sibson_z_values(j, [a for a in alphas if a.is_finite]).tolist())
+    return [next(finite) if a.is_finite else cond_sibson_z(j, a).value_nats
+            for a in alphas]
+
+
 def theorem6_check(
     j: Joint3,
     test: ThresholdTest,
@@ -422,16 +429,16 @@ def theorem6_checks(
     Every order (above 1) and the claim (not NaN) are validated before
     anything is priced, so a bad argument raises ValidationError without
     running ``exact_errors``, which then runs once for all the orders,
-    even for none.  Raises InequalityViolation at the first certified
-    order whose check fails beyond 1e-9.
+    even for none; I^Z at the finite orders comes from one grid call.
+    Raises InequalityViolation at the first certified order whose check
+    fails beyond 1e-9.
     """
     alphas = [_order_above_one(a) for a in alphas]
     _checked_claim(claimed_rate)
     er = exact_errors(j, test, qz_grid_step=qz_grid_step)
     reports = []
-    for a in alphas:
-        report = _decay_report(test, a, er, cond_sibson_z(j, a).value_nats,
-                               claimed_rate)
+    for a, i_z in zip(alphas, _cond_z_at(j, alphas)):
+        report = _decay_report(test, a, er, i_z, claimed_rate)
         if report.certified and report.lhs > report.rhs + CHECK_TOL:
             raise InequalityViolation(
                 f"decay bound failed at n={test.n}, order {a}: "
@@ -466,14 +473,15 @@ def exponent_sweep(
 ) -> SweepResult:
     """Tabulate empirical decay exponents against the per-order bounds.
 
-    One exact-error computation per n and one I^Z per order; the order
-    grid (finite > 1 and the symbolic sup order are both allowed) then
-    prices the bound exponent -((a-1)/a)(R - I^Z) without asserting it.
+    One exact-error computation per n and one I^Z per order, the finite
+    orders priced in one grid call; the order grid (finite > 1 and the
+    symbolic sup order are both allowed) then prices the bound exponent
+    -((a-1)/a)(R - I^Z) without asserting it.
     ``best_bound`` optimises over the grid for each n, so it is at most
     every single-order bound.
     """
     alphas = [_order_above_one(a) for a in a_grid]
-    i_z = [cond_sibson_z(j, a).value_nats for a in alphas]
+    i_z = _cond_z_at(j, alphas)
     rows = []
     best = []
     for n in n_grid:

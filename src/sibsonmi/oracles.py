@@ -33,14 +33,9 @@ _LINE_ROUNDS = 10
 _SCAN_POINTS = 1 << 16
 
 
-def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
-    """All points of the (dim-1)-simplex with coordinates on a step lattice.
-
-    Rows sum to 1 exactly up to float rounding; the vertices are always
-    included.  The point count grows like (1/step)^(dim-1), so larger
-    alphabets need a coarser step; the cap fails fast instead of
-    exhausting memory.
-    """
+def _lattice_size(dim: int, step: float) -> tuple[int, int]:
+    """The lattice denominator m of a simplex grid and its point count,
+    after checking the arguments and the point cap."""
     if dim < 1:
         raise ValidationError("simplex dimension must be at least 1")
     if not 0 < step <= 1:
@@ -52,12 +47,23 @@ def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
             f"simplex grid would hold {points} points (cap {GRID_POINT_CAP});"
             " use a coarser step"
         )
-    # lexicographic in the leading coordinates: each step repeats every
-    # point built so far once per value its next coordinate can take;
-    # the last coordinate is the mass left over
+    return m, points
+
+
+def _lattice(head: np.ndarray, left: np.ndarray, dim: int, points: int) -> np.ndarray:
+    """Integer lattice points of ``dim`` coordinates, as floats, extending
+    each row of ``head`` (its leading coordinates) by every split of its
+    entry of ``left`` over the remaining coordinates, ``points`` in all.
+
+    Lexicographic: each step repeats every point built so far once per
+    value its next coordinate can take; the last coordinate is the mass
+    left over.
+    """
+    c0 = head.shape[1]
     out = np.empty((points, dim))
-    left = np.full(1, float(m))  # lattice mass not yet placed, per point
-    for c in range(dim - 1):
+    out[: len(head), :c0] = head
+    left = left.astype(float)  # lattice mass not yet placed, per point
+    for c in range(c0, dim - 1):
         reps = left.astype(np.int64) + 1
         size = int(reps.sum())
         out[:size, :c] = np.repeat(out[: len(left), :c], reps, axis=0)
@@ -67,8 +73,53 @@ def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
         left = np.repeat(left, reps)
         left -= coord
     out[:, -1] = left
+    return out
+
+
+def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
+    """All points of the (dim-1)-simplex with coordinates on a step lattice.
+
+    Rows sum to 1 exactly up to float rounding; the vertices are always
+    included.  The point count grows like (1/step)^(dim-1), so larger
+    alphabets need a coarser step; the cap fails fast instead of
+    exhausting memory.
+    """
+    m, points = _lattice_size(dim, step)
+    out = _lattice(np.empty((1, 0)), np.full(1, m), dim, points)
     out /= m
     return out
+
+
+def _grid_slices(dim: int, m: int, cap: int, head=()):
+    """The rows of ``simplex_grid(dim, 1/m)`` in order, as consecutive
+    slices of at most ``cap`` points (the lattice points with leading
+    coordinates ``head`` when given).
+
+    A slice is a run of values of the next coordinate whose points fit
+    the cap together; a value whose points alone pass it is split on
+    the coordinate after.  Integer coordinates over m are bit-identical
+    to the whole grid's rows.
+    """
+    left, rest = m - sum(head), dim - len(head)
+    counts = [math.comb(left - v + rest - 2, rest - 2) for v in range(left + 1)]
+    v = 0
+    while v <= left:
+        if counts[v] > cap:  # only with rest > 2: one value holds one point at rest == 2
+            yield from _grid_slices(dim, m, cap, (*head, v))
+            v += 1
+            continue
+        w, size = v, 0
+        while w <= left and size + counts[w] <= cap:
+            size += counts[w]
+            w += 1
+        values = np.arange(v, w)
+        lead = np.empty((len(values), len(head) + 1))
+        lead[:, :-1] = head
+        lead[:, -1] = values
+        out = _lattice(lead, left - values, dim, size)
+        out /= m
+        yield out
+        v = w
 
 
 def _line_searches(f_stack, rows, q, d, lo, hi):
@@ -113,8 +164,8 @@ def minimize_on_simplexes(
     its argmin and value are bit-identical to that run's:
 
     - the grid scan prices every problem on the whole grid, at most
-      ``_SCAN_POINTS`` points per call, and keeps each row's first
-      minimum;
+      ``_SCAN_POINTS`` points per call (a larger grid in lattice slices,
+      never built whole), and keeps each row's first minimum;
     - each coordinate pair's line search runs only on the live rows
       whose window is at least 1e-15 wide, each row narrowing its own
       bracket;
@@ -125,20 +176,11 @@ def minimize_on_simplexes(
 
     Returns ``(argmins, values)``, arrays of shapes (n, dim) and (n,).
     """
-    grid = simplex_grid(dim, step)
-    vals = np.empty((n, len(grid)))
-    chunk = min(len(grid), _SCAN_POINTS)
-    per_call = max(1, _SCAN_POINTS // len(grid))
-    for first in range(0, n, per_call):
-        rows = np.arange(first, min(first + per_call, n))
-        for lo in range(0, len(grid), chunk):
-            points = grid[lo:lo + chunk]
-            vals[rows, lo:lo + chunk] = f_stack(
-                rows, np.broadcast_to(points, (len(rows), *points.shape))
-            )
-    best = np.argmin(vals, axis=1)
-    q = grid[best]
-    fq = vals[np.arange(n), best]
+    m, points = _lattice_size(dim, step)
+    if points > _SCAN_POINTS:
+        q, fq = _scan_slices(f_stack, n, dim, m)
+    else:
+        q, fq = _scan_whole(f_stack, n, simplex_grid(dim, step))
     if dim == 1:
         return q, fq
     window = 2.0 * step
@@ -172,6 +214,32 @@ def minimize_on_simplexes(
     return q, fq
 
 
+def _scan_whole(f_stack, n: int, grid: np.ndarray):
+    """Each problem's first grid minimum over a grid of at most
+    ``_SCAN_POINTS`` points, pricing as many problems per call as fit."""
+    vals = np.empty((n, len(grid)))
+    per_call = max(1, _SCAN_POINTS // len(grid))
+    for first in range(0, n, per_call):
+        rows = np.arange(first, min(first + per_call, n))
+        vals[rows] = f_stack(rows, np.broadcast_to(grid, (len(rows), *grid.shape)))
+    best = np.argmin(vals, axis=1)
+    return grid[best], vals[np.arange(n), best]
+
+
+def _scan_slices(f_stack, n: int, dim: int, m: int):
+    """Each problem's first grid minimum over a grid too large to price
+    whole, slice by slice; NaN wins as in ``np.argmin``."""
+    q, fq = np.empty((n, dim)), np.empty(n)
+    for s, points in enumerate(_grid_slices(dim, m, _SCAN_POINTS)):
+        for r in range(n):
+            vals = np.asarray(f_stack(np.array([r]), points[None]), dtype=float)[0]
+            k = int(np.argmin(vals))
+            if s == 0 or (not math.isnan(fq[r])
+                          and (math.isnan(vals[k]) or vals[k] < fq[r])):
+                q[r], fq[r] = points[k], vals[k]
+    return q, fq
+
+
 def minimize_on_simplex(
     f_batch: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -186,8 +254,8 @@ def minimize_on_simplex(
     final digits: at most ``_POLISH_PASSES`` sweeps over the pairs, each
     move within two grid steps of the current point.  This is the
     one-problem call of ``minimize_on_simplexes``: ``f_batch`` is called
-    once for the grid scan (once per ``_SCAN_POINTS`` points of a larger
-    grid), once per line-search round (``_LINE_ROUNDS`` per search) and
+    once for the grid scan (once per lattice slice of at most
+    ``_SCAN_POINTS`` points of a larger grid), once per line-search round (``_LINE_ROUNDS`` per search) and
     once more to re-price an accepted move.  It must price each point
     on its own, as every oracle objective does, and leave its input
     unchanged.

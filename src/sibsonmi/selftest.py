@@ -17,6 +17,7 @@ from .bounds import bound_cor_leakage, bound_cor_sdpi, bound_thm1, bound_thm3
 from .core import Alpha, EventMask, Joint2, Kernel, markov_product, tensor_power
 from .divergences import (
     _hellinger_rows,
+    _renyi_orders,
     hellinger_integral,
     renyi_divergence,
     renyi_limit_check,
@@ -25,7 +26,6 @@ from .errors import InequalityViolation
 from .exponents import (
     default_alpha_grid,
     ep_biconjugate,
-    ep_star,
     ep_star_grid,
     lambda_of_alpha,
     numeric_conjugate,
@@ -34,7 +34,7 @@ from .hyptest import (
     exact_errors,
     exponent_sweep,
     monte_carlo_errors,
-    theorem6_check,
+    theorem6_checks,
     threshold_test,
 )
 from .instances import (
@@ -145,7 +145,7 @@ def run_selftest(seed: int = 0) -> list[CheckRow]:
     for _ in range(100):
         p = random_pmf(rng, 3).probs
         q = random_pmf(rng, 3).probs
-        vals = [renyi_divergence(p, q, Alpha(a)) for a in grid]
+        vals = _renyi_orders(p, q, grid).tolist()
         gaps = [v1 - v2 for v1, v2 in zip(vals, vals[1:])]
         worst = max(worst, max(gaps) if gaps else 0.0)
     rows.append(_row("div.alpha_monotone", worst <= 1e-10, f"max decrease {_fmt(worst)}"))
@@ -163,12 +163,10 @@ def run_selftest(seed: int = 0) -> list[CheckRow]:
 
     rng = _rng(seed, 7)
     # the draws of random_kernel(rng, 3, 3) and two random_pmf(rng, 3)
-    # per instance, in that order; all instances are priced as one batch
-    ks, mus, nus = np.empty((2500, 3, 3)), np.empty((2500, 3)), np.empty((2500, 3))
-    for i in range(2500):
-        ks[i] = rng.dirichlet(np.ones(3), size=3)
-        mus[i] = rng.dirichlet(np.ones(3))
-        nus[i] = rng.dirichlet(np.ones(3))
+    # per instance, in that order, as one call; all instances are priced
+    # as one batch
+    draws = rng.dirichlet(np.ones(3), size=(2500, 5))
+    ks, mus, nus = draws[:, :3], draws[:, 3], draws[:, 4]
     k_mus, k_nus = (mus[:, None] @ ks)[:, 0], (nus[:, None] @ ks)[:, 0]
     gaps = np.stack(
         [
@@ -458,8 +456,7 @@ def run_selftest(seed: int = 0) -> list[CheckRow]:
         for joint in (R, M):
             for n in (1, 2, 3, 4, 5, 6):
                 tt = threshold_test(joint, 0.5, n)
-                for a in (1.5, 2.0, 4.0):
-                    theorem6_check(joint, tt, a, claimed_rate=0.5)
+                theorem6_checks(joint, tt, (1.5, 2.0, 4.0), claimed_rate=0.5)
     except InequalityViolation as exc:
         ok, detail = False, str(exc)
     rows.append(_row("hyptest.decay_bound_sweep", ok, detail))
@@ -475,8 +472,9 @@ def run_selftest(seed: int = 0) -> list[CheckRow]:
     rows.append(_row("hyptest.exponent_sweep", ok))
 
     # --- exponents ---------------------------------------------------------
-    ok = math.isinf(ep_star(R, 0.5)) and ep_star(R, 0.0) == 0.0
-    gap = abs(ep_star(R, -1.0) + 0.2876820724517809)
+    (_, e_pos), (_, e_zero), (_, e_neg) = ep_star_grid(R, (0.5, 0.0, -1.0)).sample_grid
+    ok = math.isinf(e_pos) and e_zero == 0.0
+    gap = abs(e_neg + 0.2876820724517809)
     ok = ok and gap <= 1e-6
     lam_grid = np.append(-np.geomspace(1e-3, 50, 99)[::-1], 0.0)
     cc = ep_star_grid(R, lam_grid)
@@ -491,7 +489,7 @@ def run_selftest(seed: int = 0) -> list[CheckRow]:
     lgrid = [lambda_of_alpha(a) for a in agrid]
     for _ in range(6):
         j = random_joint3(rng, (2, 2, 2))
-        samples = [(l, ep_star(j, l)) for l in lgrid]
+        samples = ep_star_grid(j, lgrid).sample_grid
         for e_q in (0.0, 0.3):
             direct = ep_biconjugate(j, e_q, agrid).value
             double = numeric_conjugate(samples, [e_q]).sample_grid[0][1]

@@ -48,12 +48,22 @@ class MiReport:
     optimizer: Pmf | Kernel | None = None
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """exp(logits) normalised along the last axis; -inf gets weight 0."""
+# the largest (orders x cells) block the order-grid kernel evaluates at
+# once; a joint with more cells goes one order at a time
+_GRID_CELLS = 1 << 16
+
+
+def _finite_top(logits: np.ndarray) -> np.ndarray:
+    """The maxima of ``logits`` along the last axis, which must be finite."""
     top = logits.max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(top)):
         raise ValidationError("cannot normalise an all-zero optimiser")
-    w = np.exp(logits - top)
+    return top
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """exp(logits) normalised along the last axis; -inf gets weight 0."""
+    w = np.exp(logits - _finite_top(logits))
     return w / w.sum(axis=-1, keepdims=True)
 
 
@@ -175,16 +185,55 @@ def cond_sibson_z(j: Joint3, a) -> MiReport:
         value = float(np.log(np.dot(s.pz, m)))
         q = s.pz * m
         return MiReport(a, value, COND_Z, Pmf(j.z_labels, q / q.sum()))
-    av = a.value
-    # cells off the support of P(.,.|z), and all of an unreachable z,
-    # are -inf through lcxy and drop out of the sums
-    # in place, not _log_power_sum: its temporary adds 1.8 MB peak RSS at 64x64x256
-    terms = s.lcx[:, :, None] + s.lcy[:, None, :]
-    terms *= 1.0 - av
-    terms += av * s.lcxy
-    logits = s.lpz + _logsumexp(terms, axis=(1, 2)) / av
-    value = av / (av - 1.0) * _logsumexp(logits)
-    return MiReport(a, value, COND_Z, Pmf(j.z_labels, _softmax(logits)))
+    logits, values = _cond_z_grid(s, np.array([a.value]))
+    return MiReport(a, float(values[0]), COND_Z, Pmf(j.z_labels, _softmax(logits[0])))
+
+
+def _cond_z_grid(s, avs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The finite-order closed form of ``cond_sibson_z`` at every order
+    of ``avs``: the (orders, z) optimiser logits and the values.
+
+    Orders go through in chunks of at most ``_GRID_CELLS`` (orders x
+    cells) elements, one order at a time past that, and every
+    operation is elementwise or reduces one order's own slice, so each
+    order's row is bit-identical to its one-order call.
+    """
+    nz, nx, ny = s.cxy.shape
+    per = max(1, _GRID_CELLS // s.cxy.size)
+    logits = np.empty((len(avs), nz))
+    for lo in range(0, len(avs), per):
+        av = avs[lo:lo + per, None, None, None]
+        # cells off the support of P(.,.|z), and all of an unreachable z,
+        # are -inf through lcxy and drop out of the sums
+        # in place, not _log_power_sum: its temporary adds 1.8 MB peak RSS at 64x64x256
+        terms = np.empty((len(av), nz, nx, ny))
+        np.add(s.lcx[:, :, None], s.lcy[:, None, :], out=terms)
+        terms *= 1.0 - av
+        terms += av * s.lcxy
+        logits[lo:lo + per] = s.lpz + _logsumexp(terms, axis=(2, 3)) / av[:, :, 0, 0]
+    return logits, avs / (avs - 1.0) * _logsumexp(logits, axis=-1)
+
+
+def cond_sibson_z_values(j: Joint3, alphas) -> np.ndarray:
+    """``cond_sibson_z(j, a).value_nats`` for every finite order a != 1
+    of ``alphas``, in one pass over the order grid.
+
+    Each value is bit-identical to its one-order call, and an order at
+    which that call raises makes this call raise the same error.
+    """
+    avs = np.array([_finite_order(a) for a in alphas], dtype=float)
+    logits, values = _cond_z_grid(j._z_structure(), avs)
+    _finite_top(logits)
+    return values
+
+
+def _finite_order(a) -> float:
+    """A finite order != 1 as a float, read as ``Alpha.coerce`` reads it;
+    order 1 and the sup order raise the error ``Alpha`` gives for them."""
+    a = Alpha.coerce(a)
+    if not a.is_finite:
+        Alpha(a.value)
+    return a.value
 
 
 def cond_sibson_ygz(j: Joint3, a) -> MiReport:

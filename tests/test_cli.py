@@ -27,8 +27,13 @@ from sibsonmi.cli import (
     save_joint,
 )
 import sibsonmi
-from sibsonmi.core import Joint3
-from sibsonmi.errors import EventSyntaxError, InputFormatError, SibsonmiError
+from sibsonmi.core import Alpha, Joint3
+from sibsonmi.errors import (
+    EventSyntaxError,
+    InputFormatError,
+    SibsonmiError,
+    ValidationError,
+)
 from sibsonmi.instances import random_joint3, reference_joint
 
 
@@ -1127,3 +1132,13 @@ def test_negative_seed_is_error_record(ref_path, capsys, args):
     record = _error_record(capsys)
     assert record["error"] == "ValidationError"
     assert record["message"] == "--seed must be nonnegative, got -1"
+
+
+@pytest.mark.parametrize("command", ["measure", "bound", "sdpi", "simulate", "exponent"])
+def test_run_without_input_raises_before_anything_runs(command, monkeypatch, capsys):
+    # a library caller of run gets the CLI's ValidationError, not a traceback
+    # from the command, and nothing is loaded or written
+    monkeypatch.setattr(cli, "load_joint", None)
+    with pytest.raises(ValidationError, match="^--input is required$"):
+        run(RunConfig(command, alphas=(Alpha(2.0),), event="x==y", n=1, tau=0.5))
+    assert capsys.readouterr() == ("", "")

@@ -9,6 +9,7 @@ from sibsonmi.core import Alpha
 from sibsonmi.divergences import (
     _hellinger_rows,
     _logsumexp,
+    _renyi_orders,
     hellinger_integral,
     kl_divergence,
     renyi_divergence,
@@ -303,3 +304,40 @@ class TestHellingerRows:
         assert below[0] == 1.0
         assert below[1] == hellinger_integral(p[1], q[1], 0.5)
         assert below[1] == pytest.approx(0.5**0.5, rel=1e-15)
+
+
+class TestRenyiOrders:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pq=_row_stacks(), orders=st.lists(
+        st.sampled_from((1e-6, 0.3, 1 - 1e-4, 1 + 1e-4, 2.0, 8.0, 50.0))
+        | st.floats(0.01, 60.0).filter(lambda a: a != 1.0),
+        min_size=1, max_size=10,
+    ))
+    def test_orders_match_single_calls_bitwise(self, pq, orders):
+        # equal rows, zero cells and q = 0 against p > 0 come from the rows
+        p, q = pq[0][0], pq[1][0]
+        with np.errstate(over="ignore"):
+            got = _renyi_orders(p, q, np.array(orders))
+            each = np.array([renyi_divergence(p, q, a) for a in orders])
+        assert got.tobytes() == each.tobytes()
+
+    def test_conventions(self):
+        orders = np.array([0.5, 2.0])
+        assert _renyi_orders(BERN_HALF, BERN_HALF, orders).tolist() == [0.0, 0.0]
+        # q = 0 against p > 0: +inf above order 1, finite below it
+        below, above = _renyi_orders(BERN_HALF, [1.0, 0.0], orders).tolist()
+        assert above == math.inf and below == renyi_divergence(BERN_HALF, [1.0, 0.0], 0.5)
+        assert _renyi_orders([1.0, 0.0], [0.0, 1.0], orders).tolist() == [math.inf] * 2
+
+    @pytest.mark.parametrize("a", [1e-310, 5e-324, 1.7e308])
+    def test_extreme_orders_warn_as_single_calls(self, a):
+        p, q = np.array([0.2, 0.8]), np.array([0.6, 0.4])
+
+        def outcome(f):
+            try:
+                return np.float64(f()).tobytes()
+            except RuntimeWarning as exc:
+                return str(exc)
+
+        want = outcome(lambda: renyi_divergence(p, q, a))
+        assert outcome(lambda: _renyi_orders(p, q, np.array([0.5, a]))[1]) == want

@@ -150,3 +150,98 @@ def test_default_grid_shape():
     assert len(g) == 200
     assert g[0] == 0.005 and g[-1] == 1.0
     assert np.all(np.diff(g) > 0)
+
+
+def _loop_grid_max(grid, value_at):
+    """The per-order loop the grid calls replaced: the first strict
+    maximum, which -inf and NaN never are."""
+    best_v, best_a = -math.inf, float("nan")
+    for av in grid:
+        v = value_at(av)
+        if v > best_v:
+            best_v, best_a = v, float(av)
+    return best_v, best_a
+
+
+def _loop_ep_biconjugate(j, e_q, grid):
+    def value_at(av):
+        if av == 1.0:
+            return 0.0
+        return (1.0 - av) / av * (cond_sibson_z(j, Alpha(av)).value_nats - e_q)
+
+    return _loop_grid_max(grid, value_at)
+
+
+def _loop_eq_biconjugate(j, e_p, grid):
+    def value_at(av):
+        if av == 1.0:
+            return cond_sibson_z(j, Alpha.ONE).value_nats if e_p == 0.0 else -math.inf
+        return cond_sibson_z(j, Alpha(av)).value_nats - av / (1.0 - av) * e_p
+
+    return _loop_grid_max(grid, value_at)
+
+
+def _loop_ep_star(j, lam):
+    """The one-slope formula the grid call replaced."""
+    lam = float(lam)
+    if lam > 0:
+        return math.inf
+    if lam == 0:
+        return 0.0
+    return lam * cond_sibson_z(j, Alpha(alpha_of_lambda(lam))).value_nats
+
+
+def _same(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestGridCallsMatchPerOrderLoops:
+    GRIDS = (None, [1.0], [0.3], [1.0, 0.5, 1.0], [0.2, 0.2, 0.9],
+             np.geomspace(0.01, 1.0, 17))
+    ARGS = (0.0, 0.3, 1e-9, 5.0, math.inf, -math.inf, math.nan)
+
+    def test_biconjugates(self, rng):
+        for t in range(6):
+            j = random_joint3(rng, (2, 3, 2) if t % 2 else (2, 2, 2),
+                              zero_cells=t % 3)
+            for grid in self.GRIDS:
+                full = default_alpha_grid() if grid is None else np.asarray(grid, float)
+                for e in self.ARGS:
+                    for f, loop in ((ep_biconjugate, _loop_ep_biconjugate),
+                                    (eq_biconjugate, _loop_eq_biconjugate)):
+                        got = f(j, e, grid)
+                        want_v, want_a = loop(j, e, full)
+                        assert _same(got.value, want_v), (f.__name__, e, grid)
+                        assert _same(got.alpha, want_a), (f.__name__, e, grid)
+
+    def test_ep_star_grid(self, rng):
+        lams = [lambda_of_alpha(a) for a in default_alpha_grid()]
+        lams += [0.5, 0.0, -0.0, -1.0, 3.0, -1e3]
+        for t in range(8):
+            j = random_joint3(rng, (2, 2, 3), zero_cells=t % 3)
+            got = ep_star_grid(j, lams).sample_grid
+            assert got == tuple((float(l), _loop_ep_star(j, l)) for l in lams)
+            assert all(type(l) is float and type(v) is float for l, v in got)
+            assert [ep_star(j, l) for l in lams] == [v for _, v in got]
+
+    @pytest.mark.parametrize("lam", [math.nan, -1e-17, -math.inf])
+    def test_ep_star_grid_raises_as_ep_star(self, ref, lam):
+        with pytest.raises(ValidationError) as single:
+            _loop_ep_star(ref, lam)
+        with pytest.raises(ValidationError) as grid:
+            ep_star_grid(ref, [-1.0, lam, 0.0])
+        with pytest.raises(ValidationError) as one:
+            ep_star(ref, lam)
+        assert str(grid.value) == str(one.value) == str(single.value)
+
+    @pytest.mark.parametrize("a", [1e-310, 5e-324])
+    def test_biconjugates_raise_as_loops_at_tiny_orders(self, ref, a):
+        # the order overflows its division: a RuntimeWarning under the
+        # suite's filter, in the grid call as in the loop
+        for f, loop in ((ep_biconjugate, _loop_ep_biconjugate),
+                        (eq_biconjugate, _loop_eq_biconjugate)):
+            with pytest.raises(RuntimeWarning) as single:
+                loop(ref, 0.1, [0.5, a])
+            with pytest.raises(RuntimeWarning) as grid:
+                f(ref, 0.1, [0.5, a])
+            assert str(grid.value) == str(single.value)

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -390,10 +389,13 @@ class TestSweepSharesDecayReport:
     def test_one_exact_errors_per_n_and_one_measure_per_order(self, ref, monkeypatch):
         exact = _count_calls(monkeypatch, "exact_errors")
         measure = _count_calls(monkeypatch, "cond_sibson_z")
+        grid = _count_calls(monkeypatch, "cond_sibson_z_values")
         orders = (1.5, 2.0, 4.0, Alpha.INFINITY)
         exponent_sweep(ref, threshold_test(ref, 0.5, 1), orders, (1, 2, 3))
         assert [args[1].n for args in exact] == [1, 2, 3]
-        assert [args[1] for args in measure] == [Alpha.coerce(a) for a in orders]
+        # the finite orders in one grid call, the sup order on its own
+        assert [list(args[1]) for args in grid] == [[Alpha.coerce(a) for a in orders[:3]]]
+        assert [args[1] for args in measure] == [Alpha.INFINITY]
 
     @pytest.mark.parametrize("tau, claimed", [(0.5, 0.5), (0.5, None), (9.0, None)])
     def test_rows_are_decay_check_exponents(self, ref, tau, claimed):
@@ -458,11 +460,11 @@ class TestTheorem6Checks:
 
     def test_raises_at_the_first_failing_order(self, ref, monkeypatch):
         # a measure far below the claim makes the certified bound fail
-        def measure(j, a):
-            value = -100.0 if a == Alpha(4.0) else cond_sibson_z(j, a).value_nats
-            return types.SimpleNamespace(value_nats=value)
+        def measure(j, alphas):
+            return np.array([-100.0 if a == Alpha(4.0) else cond_sibson_z(j, a).value_nats
+                             for a in alphas])
 
-        _count_calls(monkeypatch, "cond_sibson_z", measure)
+        _count_calls(monkeypatch, "cond_sibson_z_values", measure)
         test = threshold_test(ref, 0.5, 3)
         with pytest.raises(InequalityViolation, match="order 4:"):
             theorem6_checks(ref, test, (2.0, 4.0, 8.0), claimed_rate=0.5)

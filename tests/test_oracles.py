@@ -359,3 +359,49 @@ def test_batched_oracles_reject_mixed_shapes_and_empty_lists(batched):
         batched(mixed, 2.0)
     with pytest.raises(ValidationError, match="at least one joint"):
         batched([], 2.0)
+
+
+@pytest.mark.parametrize("scan_points", [1, 5, 64])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_slice_scan_matches_full_grid_argmin(monkeypatch, dim, scan_points):
+    # ties and NaN included: each row keeps np.argmin's first minimum, or
+    # its first NaN; the one-point grid of dim 1 is never sliced
+    step = {1: 0.5, 2: 0.05, 3: 0.1, 4: 0.2, 5: 0.25, 6: 0.5}[dim]
+    grid = simplex_grid(dim, step)
+    rng = np.random.default_rng(dim)
+    targets = rng.dirichlet(np.ones(dim), size=4)
+    nan_at = rng.integers(0, len(grid), size=2)
+
+    def f_stack(rows, qs):
+        # coarse rounding makes ties; problem 3 has two NaN points
+        vals = np.round(((qs - targets[rows][:, None]) ** 2).sum(axis=-1), 2)
+        for r, row in enumerate(rows):
+            if row == 3:
+                hit = (qs[r][:, None] == grid[nan_at][None]).all(axis=-1).any(axis=1)
+                vals[r, hit] = math.nan
+        return vals
+
+    monkeypatch.setattr(oracles, "_SCAN_POINTS", scan_points)
+    m = round(1 / step)
+    if len(grid) > scan_points:
+        q, fq = oracles._scan_slices(f_stack, 4, dim, m)
+    else:
+        q, fq = oracles._scan_whole(f_stack, 4, grid)
+    whole = f_stack(np.arange(4), np.broadcast_to(grid, (4, *grid.shape)))
+    best = np.argmin(whole, axis=1)
+    assert q.tobytes() == grid[best].tobytes()
+    assert fq.tobytes() == whole[np.arange(4), best].tobytes()
+
+
+def test_large_grid_scan_peak_memory():
+    # the 501,501 x 3 grid of step 1e-3 alone takes 12 MB; scanned in
+    # slices of _SCAN_POINTS points the whole minimisation stays far below
+    target = np.array([0.2, 0.3, 0.5])
+    tracemalloc.start()
+    try:
+        q, _ = minimize_on_simplex(lambda qs: ((qs - target) ** 2).sum(axis=1), 3, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(q - target)) <= 1e-9
+    assert peak < 8e6

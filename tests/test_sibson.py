@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,11 +26,13 @@ from sibsonmi.oracles import (
     sibson_mi_oracle,
     simplex_grid,
 )
+import sibsonmi.sibson as sibson
 from sibsonmi.sibson import (
     additivity_check,
     cond_maximal_leakage,
     cond_sibson_ygz,
     cond_sibson_z,
+    cond_sibson_z_values,
     conditional_mi,
     info_radius,
     lmgf_representation,
@@ -456,3 +460,80 @@ class TestOracleInternals:
         q, val = minimize_on_simplex(f, 3, step=0.05)
         assert np.max(np.abs(q - target)) <= 1e-4
         assert val <= 1e-8
+
+
+@st.composite
+def _grid_joints(draw):
+    """Joints of 1-4 symbols per axis with zero cells and, sometimes, an
+    unreachable z (a zero slice)."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    cell = st.sampled_from((0.0, 1.0, 1.0, 2.0, 5.0, 1e-9))
+    w = np.array(draw(st.lists(cell, min_size=math.prod(shape),
+                               max_size=math.prod(shape)))).reshape(shape)
+    if shape[2] > 1 and draw(st.booleans()):
+        w[:, :, draw(st.integers(0, shape[2] - 1))] = 0.0
+    if w.sum() == 0:
+        w[(0, 0, 0)] = 1.0
+    labels = [tuple(str(i) for i in range(n)) for n in shape]
+    return Joint3(*labels, w / w.sum())
+
+
+_GRID_ORDERS = st.sampled_from(
+    (1 - 1e-4, 1 + 1e-4, 1 - 1e-12, 1e-6, 1e-3, 0.005, 0.5, 2.0, 8.0, 50.0, 100.0)
+) | st.floats(1e-3, 60.0).filter(lambda a: a != 1.0)
+
+
+class TestCondZGrid:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(j=_grid_joints(), orders=st.lists(_GRID_ORDERS, min_size=1, max_size=12),
+           grid_cells=st.sampled_from((1, 7, 64, 1 << 16)))
+    def test_grid_matches_single_orders_bitwise(self, j, orders, grid_cells):
+        # chunks of every size, down to one order per chunk
+        with mock.patch.object(sibson, "_GRID_CELLS", grid_cells):
+            got = cond_sibson_z_values(j, orders)
+            logits, values = sibson._cond_z_grid(j._z_structure(), np.array(orders))
+        each = [cond_sibson_z(j, a) for a in orders]
+        assert got.tobytes() == values.tobytes()
+        assert got.tobytes() == np.array([r.value_nats for r in each]).tobytes()
+        for row, r in zip(logits, each):
+            assert sibson._softmax(row).tobytes() == r.optimizer.probs.tobytes()
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, 1e-310, 5e-324, 1.7e308])
+    @pytest.mark.parametrize("quiet", [True, False])
+    def test_grid_raises_as_single_call(self, ref, a, quiet):
+        # with warnings as errors an overflow is the error; without them
+        # the order either prices quietly, the same in both calls, or
+        # raises the same error
+        def outcome(f):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore" if quiet else "error")
+                with np.errstate(all="ignore" if quiet else "warn"):
+                    try:
+                        return np.float64(f()).tobytes()
+                    except Exception as exc:  # noqa: BLE001
+                        return type(exc), str(exc)
+
+        want = outcome(lambda: cond_sibson_z(ref, a).value_nats)
+        assert outcome(lambda: cond_sibson_z_values(ref, [0.5, a, 2.0])[1]) == want
+
+    @pytest.mark.parametrize("a", [1.0, "one", Alpha.ONE, math.inf, "inf", Alpha.INFINITY])
+    def test_grid_takes_finite_orders_only(self, ref, a):
+        with pytest.raises(ValidationError, match="symbolic"):
+            cond_sibson_z_values(ref, [2.0, a])
+
+    def test_empty_grid(self, ref):
+        assert cond_sibson_z_values(ref, []).shape == (0,)
+
+    def test_chunks_bound_the_temporary(self, ref, monkeypatch):
+        # 8 cells: 3 orders per chunk under a 24-element bound
+        monkeypatch.setattr(sibson, "_GRID_CELLS", 24)
+        sizes = []
+        real = sibson._logsumexp
+
+        def spy(a, axis=None):
+            sizes.append(np.size(a))
+            return real(a, axis)
+
+        monkeypatch.setattr(sibson, "_logsumexp", spy)
+        cond_sibson_z_values(ref, np.linspace(0.1, 0.9, 7))
+        assert sizes[:-1] == [24, 24, 8]

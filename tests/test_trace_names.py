@@ -101,6 +101,9 @@ def test_bound_spans_reach_measure_and_product(tmp_path):
 
 def test_biconjugate_spans_count_every_grid_measure(tmp_path):
     edges = _traced_edges(tmp_path, "exponent")
-    # 200 grid orders; the a = 1 point of ep needs no measure
-    assert edges["exponents.ep_biconjugate", "sibson.cond_sibson_z"] == 199
-    assert edges["exponents.eq_biconjugate", "sibson.cond_sibson_z"] == 200
+    # each biconjugate prices its 200-order grid in one call: ep's a = 1
+    # point needs no measure, eq's (at E_P = 0) the order-one measure
+    assert edges["exponents.ep_biconjugate", "sibson.cond_sibson_z_values"] == 1
+    assert edges["exponents.ep_biconjugate", "sibson.cond_sibson_z"] == 0
+    assert edges["exponents.eq_biconjugate", "sibson.cond_sibson_z_values"] == 1
+    assert edges["exponents.eq_biconjugate", "sibson.cond_sibson_z"] == 1
