@@ -25,12 +25,10 @@ from .core import (
     EventMask,
     Joint3,
     Joint4,
-    absolutely_continuous,
-    markov_product,
     require_conformal,
 )
 from .errors import PreconditionError, ValidationError
-from .sibson import cond_maximal_leakage, cond_sibson_ygz, cond_sibson_z
+from .sibson import _per_z, cond_maximal_leakage, cond_sibson_ygz, cond_sibson_z
 
 THM1 = "THM1"
 THM3 = "THM3"
@@ -89,11 +87,24 @@ def _holder_bound(which, j: Joint3, e: EventMask, a, slice_mass, measure):
     av = a.value
     uninformative = av <= 1.0 + UNINFORMATIVE_GAP
     lhs = event_probability(j, e)
-    if av > 1 and not absolutely_continuous(j, markov_product(j)):
+    if av > 1 and not _product_dominates(j):
         return _report(which, a, lhs, math.inf, vacuous=True, uninformative=uninformative)
     frac = (av - 1.0) / av
     rhs = slice_mass(j, e) ** frac * math.exp(frac * measure(j, a).value_nats)
     return _report(which, a, lhs, rhs, uninformative=uninformative)
+
+
+def _product_dominates(j: Joint3) -> bool:
+    """True iff the Markov product P_Z(z) P(x|z) P(y|z) vanishes on no
+    cell where ``j`` has mass: ``markov_product(j)``'s values, priced from
+    the cached structure given z one z-block at a time."""
+    s = j._z_structure()
+
+    def escapes(b):
+        prod = np.einsum("z,zx,zy->xyz", s.pz[b], s.cx[b], s.cy[b])
+        return np.any((prod <= 0) & (j.probs[:, :, b] > 0), axis=(0, 1))
+
+    return not _per_z(s, escapes).any()
 
 
 def bound_thm3(j: Joint3, e: EventMask, a) -> BoundReport:
@@ -107,19 +118,24 @@ def bound_thm3(j: Joint3, e: EventMask, a) -> BoundReport:
 
 def _max_product_mass(j: Joint3, e: EventMask) -> float:
     """max over z of the mass P(x|z) P(y|z) puts on the slice E_z."""
-    _, _, _, cx, cy = j.conditionals_given_z()
-    prod = cx[:, :, None] * cy[:, None, :]  # all zero for unreachable z
+    s = j._z_structure()
     where = np.moveaxis(e.mask, 2, 0)
-    return float(np.sum(prod, axis=(1, 2), where=where).max(initial=0.0))
+
+    def mass(b):
+        prod = s.cx[b, :, None] * s.cy[b, None, :]  # all zero for unreachable z
+        return np.sum(prod, axis=(1, 2), where=where[b])
+
+    return float(_per_z(s, mass).max(initial=0.0))
 
 
 def _expected_slice_mass(j: Joint3, e: EventMask) -> float:
     """E_Z of the max over supported y of P_{X|Z}(E_{Z,y})."""
-    pz, _, _, cx, cy = j.conditionals_given_z()
+    s = j._z_structure()
     where = np.moveaxis(e.mask, 2, 0)
-    mass = np.sum(cx[:, :, None] * where, axis=1)  # (z, y)
-    best = np.where(cy > 0, mass, 0.0).max(axis=1, initial=0.0)
-    return float(np.sum(pz * best))
+    # (z, y)
+    mass = _per_z(s, lambda b: np.sum(s.cx[b, :, None] * where[b], axis=1))
+    best = np.where(s.cy > 0, mass, 0.0).max(axis=1, initial=0.0)
+    return float(np.sum(s.pz * best))
 
 
 def bound_thm1(j: Joint3, e: EventMask, a) -> BoundReport:

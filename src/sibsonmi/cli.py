@@ -75,6 +75,7 @@ LOAD_MASS_TOL = 1e-9
 # characters of ``probs`` decoded per json.loads call (a slice ends at a comma)
 _SLICE_CHARS = 1 << 16
 _JSON_WS = re.compile(r"[ \t\n\r]*")
+_PROBS_KEY = re.compile(rb'"probs"[ \t\n\r]*:[ \t\n\r]*\[')
 _DECODER = json.JSONDecoder()
 
 
@@ -82,13 +83,14 @@ def load_joint(path: str) -> tuple[Joint3, str]:
     """Read and validate a distribution file; return the joint and the
     SHA-256 hex digest of exactly the bytes it was parsed from.
 
-    The file is opened and read once. A well-formed file never holds one
-    Python float per probability: ``probs`` is decoded in comma-aligned
-    slices of about 64 K characters into one float64 array, so peak
-    memory is about twice the file size (its bytes and its decoded text)
-    plus the arrays. Any other file is parsed whole from the same text,
-    which gives every file the same joint or the same message as one
-    ``json.load``.
+    The file is opened and read once. A well-formed file is never
+    decoded whole and never holds one Python float per probability: the
+    ``probs`` array is found in the file's bytes and decoded from them in
+    comma-aligned slices of about 64 K bytes into one float64 array,
+    normalised in place, and only the bytes around it become text. So
+    peak memory is the file's bytes plus the float64 array. Any other
+    file is decoded and parsed whole, which gives every file the same
+    joint or the same message as one ``json.load``.
 
     A file that is not UTF-8 JSON, non-finite, negative and out-of-float-
     range entries, and total mass off 1 by more than 1e-9 are rejected as
@@ -100,22 +102,27 @@ def load_joint(path: str) -> tuple[Joint3, str]:
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(
-            f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at byte "
-            f"position {exc.start}"
-        ) from exc
+    fields = _split_fields(raw)
+    if fields is None:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at byte "
+                f"position {exc.start}"
+            ) from exc
+    # the bytes (and below, the text) are freed before probs is validated,
+    # normalised and copied: alive, they would overlap those copies and
+    # raise peak memory
     del raw
-    try:
-        fields = _walk_fields(text)
-    except (ValueError, OverflowError, RecursionError):
-        fields = None
-    labels, probs = fields or _read_whole(path, text)
-    # the text is freed before probs is validated, normalised and copied:
-    # alive, it would overlap those file-sized copies and raise peak memory
-    del text
+    if fields is None:
+        try:
+            fields = _walk_fields(text)
+        except (ValueError, OverflowError, RecursionError):
+            fields = None
+        fields = fields or _read_whole(path, text)
+        del text
+    labels, probs = fields
     nx, ny, nz = map(len, labels)
     if len(probs) != nx * ny * nz:
         raise InputFormatError(
@@ -150,8 +157,42 @@ def load_joint(path: str) -> tuple[Joint3, str]:
             f"{path}: total mass {total!r} deviates from 1 by more than "
             f"{LOAD_MASS_TOL}"
         )
-    arr = arr / total
+    arr /= total  # this call's own array: the sliced reader's, or a list's copy
     return Joint3(*labels, arr.reshape(nx, ny, nz)), digest
+
+
+def _split_fields(raw: bytes):
+    """``_walk_fields`` of the document ``raw`` with its ``probs`` array
+    decoded straight from the bytes and only the bytes around the array
+    decoded to text; None for a document this split does not cover
+    exactly (no ``"probs": [`` in the bytes, a match that is not the one
+    ``probs`` value the walker reads, or anything the walker rejects).
+
+    The array ends at its first ``]`` and its commas are single bytes, as
+    in the decoded text, so the walk sees what it sees on the whole
+    text."""
+    m = _PROBS_KEY.search(raw)
+    if m is None:
+        return None
+    end = raw.find(b"]", m.end())
+    if end < 0:
+        return None
+    try:
+        # the text keeps the opening bracket, where the walker must come
+        # to read probs, and resumes past the closing one
+        head = raw[:m.end()].decode("utf-8")
+        outside = head + raw[end + 1:].decode("utf-8")
+
+        def probs_at_cut(text, pos):
+            # a probs key anywhere else (a repeat, or a match that is not
+            # the value) leaves the file to the whole-text path
+            if pos != len(head) - 1:
+                raise ValueError("probs is not the array cut from the bytes")
+            return _probs_slices(raw, m.end(), end), len(head)
+
+        return _walk_fields(outside, probs_at_cut)
+    except (ValueError, OverflowError, RecursionError):
+        return None
 
 
 def _skip_to(text: str, pos: int, char: str) -> int:
@@ -162,12 +203,15 @@ def _skip_to(text: str, pos: int, char: str) -> int:
     return pos + 1
 
 
-def _walk_fields(text: str):
+def _walk_fields(text: str, decode_probs=None):
     """``(labels, probs array)`` of a well-formed document: the required
     fields and no other (a repeated one keeps its last value), labels
     arrays of strings, ``probs`` flat numbers in the float range. Anything
     else raises, and is left to ``_read_whole``. ``\\r`` may stay
-    untranslated: JSON takes it as whitespace and rejects it in strings."""
+    untranslated: JSON takes it as whitespace and rejects it in strings.
+    ``decode_probs(text, pos)`` reads the ``probs`` value (by default
+    ``_decode_probs``)."""
+    decode_probs = decode_probs or _decode_probs
     fields = {}
     pos = _skip_to(text, 0, "{")
     while len(fields) < len(REQUIRED_FIELDS):
@@ -177,7 +221,7 @@ def _walk_fields(text: str):
         if key not in REQUIRED_FIELDS:
             raise ValueError(f"unknown field {key!r}")
         pos = _JSON_WS.match(text, _skip_to(text, pos, ":")).end()
-        decode = _decode_probs if key == "probs" else _DECODER.raw_decode
+        decode = decode_probs if key == "probs" else _DECODER.raw_decode
         fields[key], pos = decode(text, pos)
     pos = _skip_to(text, pos, "}")
     if _JSON_WS.match(text, pos).end() != len(text):
@@ -190,25 +234,36 @@ def _walk_fields(text: str):
 
 
 def _decode_probs(text: str, pos: int):
-    """Decode the flat number array at ``pos`` slice by slice into one
-    float64 array preallocated from the comma count; return it and the
-    index past its closing bracket.
-
-    The array ends at the first ``]``: a string or nested array inside
-    it leaves a slice that does not parse or holds a non-number, and an
-    empty element leaves fewer numbers than commas allow.
-    """
+    """Decode the flat number array at ``pos`` into one float64 array;
+    return it and the index past its closing bracket."""
     lo = _skip_to(text, pos, "[")
     end = text.find("]", lo)
     if end < 0:
         raise ValueError("unterminated probs array")
-    probs = np.empty(text.count(",", lo, end) + 1)
+    return _probs_slices(text, lo, end), end + 1
+
+
+def _probs_slices(buf, lo: int, end: int) -> np.ndarray:
+    """The numbers of ``buf[lo:end]``, the body of a flat array in a str
+    or in UTF-8 bytes, decoded slice by slice into one float64 array
+    preallocated from the comma count.
+
+    The array ends at the first ``]``: a string or nested array inside
+    it leaves a slice that does not parse or holds a non-number, and an
+    empty element leaves fewer numbers than commas allow. A byte slice
+    that is not UTF-8 raises too.
+    """
+    text = isinstance(buf, str)
+    comma = "," if text else b","
+    probs = np.empty(buf.count(comma, lo, end) + 1)
     filled = 0
     while True:
-        hi = text.find(",", min(lo + _SLICE_CHARS, end), end)
+        hi = buf.find(comma, min(lo + _SLICE_CHARS, end), end)
         if hi < 0:
             hi = end
-        values = json.loads("[" + text[lo:hi] + "]")
+        # bytes are decoded from a view, with no copy of the slice
+        piece = buf[lo:hi] if text else str(memoryview(buf)[lo:hi], "utf-8")
+        values = json.loads("[" + piece + "]")
         if not set(map(type, values)) <= {int, float}:
             raise ValueError("probs holds a non-number")
         probs[filled:filled + len(values)] = values
@@ -218,7 +273,7 @@ def _decode_probs(text: str, pos: int):
         lo = hi + 1
     if filled != len(probs):
         raise ValueError("probs has an empty element")
-    return probs, end + 1
+    return probs
 
 
 def _read_whole(path: str, text: str):
@@ -663,8 +718,16 @@ def _parse_alpha_list(values) -> tuple[Alpha, ...]:
     return tuple(Alpha.coerce(v) for v in values)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValidationError``,
+    so ``main`` reports them as one JSON record with exit status 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sibsonmi",
         description=(
             "Sibson alpha-mutual information, conditional variants, "
@@ -708,8 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # before the orders are parsed, so these two errors come first
         _check_request(args.command, args.input, args.seed)
         config = RunConfig(

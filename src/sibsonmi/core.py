@@ -288,10 +288,13 @@ def _rows_to_kernel(in_labels, out_labels, mass: np.ndarray) -> Kernel:
 
 
 def _log(a: np.ndarray, fill: float = -math.inf) -> np.ndarray:
-    """Elementwise log of the positive entries, ``fill`` elsewhere."""
+    """Elementwise log of the positive entries, ``fill`` elsewhere.
+
+    The logs are written in place under a mask, so an array costs one
+    result and one boolean mask, not a compressed copy and its log too.
+    """
     out = np.full(a.shape, fill)
-    pos = a > 0
-    out[pos] = np.log(a[pos])
+    np.log(a, out=out, where=a > 0)
     return out
 
 

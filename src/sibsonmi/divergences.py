@@ -21,25 +21,29 @@ from .errors import PreconditionError, ShapeMismatchError, ValidationError
 _NEG_CLAMP = 1e-12
 
 
-def _logsumexp(a, axis=None):
+def _logsumexp(a, axis=None, overwrite=False):
     """log(sum(exp(a))) along ``axis`` with max subtraction.
 
     A slice whose max is not finite is shifted by 0 instead, so all
     -inf input, like an empty sum, gives -inf; a slice holding +inf
     gives +inf without exponentiating its other terms unshifted, which
-    could overflow.
+    could overflow.  Each slice's value depends on that slice alone.
+    ``overwrite=True`` shifts and exponentiates ``a`` in place: for a
+    caller whose ``a`` is a float64 temporary of its own, which saves
+    one more array of its size.
     """
     a = np.asarray(a, dtype=float)
     top = a.max(axis=axis, keepdims=True, initial=-math.inf)
+    e = a if overwrite else None
     if np.isfinite(top).all():
         # the max term is exp(0) = 1, so no sum is 0
-        e = a - top
+        e = np.subtract(a, top, out=e)
         np.exp(e, out=e)
         out = np.log(e.sum(axis=axis, keepdims=True)) + top
     else:
         hot = top == math.inf
         top[~np.isfinite(top)] = 0.0
-        e = a - top
+        e = np.subtract(a, top, out=e)
         e[np.broadcast_to(hot, e.shape)] = -math.inf
         np.exp(e, out=e)
         with np.errstate(divide="ignore"):
@@ -54,9 +58,9 @@ def _log_power_sum(lp, lq, av: float, axis=None):
     A term with lp = -inf drops out as long as lq is finite there.  A
     term with lq = -inf against a finite lp is +inf above order 1 and
     drops out below it, which is the domination convention.  The empty
-    sum is -inf.
+    sum is -inf.  The terms are one temporary, reduced in place.
     """
-    return _logsumexp(av * lp + (1.0 - av) * lq, axis=axis)
+    return _logsumexp(av * lp + (1.0 - av) * lq, axis=axis, overwrite=True)
 
 
 def _flat(measure) -> np.ndarray:

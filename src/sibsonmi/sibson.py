@@ -48,9 +48,26 @@ class MiReport:
     optimizer: Pmf | Kernel | None = None
 
 
-# the largest (orders x cells) block the order-grid kernel evaluates at
-# once; a joint with more cells goes one order at a time
+# the largest (orders x cells) block a per-z kernel evaluates at once:
+# the order grid goes in chunks of orders, and a joint with more cells
+# goes one order, and one block of z symbols, at a time
 _GRID_CELLS = 1 << 16
+
+
+def _per_z(s, kernel, axis: int = 0) -> np.ndarray:
+    """``kernel(b)`` over slices ``b`` of the z axis of the structure
+    ``s`` of at most ``_GRID_CELLS`` cells each (one z at least, and one
+    slice when the whole joint fits), joined along ``axis``, the z axis of
+    its results.
+
+    A kernel reduces each z symbol's slice on its own, so the blocks give
+    the bits of one whole-joint pass while its temporaries stay the size
+    of one block instead of the joint.
+    """
+    nz, nx, ny = s.cxy.shape
+    step = max(1, _GRID_CELLS // (nx * ny))
+    blocks = (slice(lo, lo + step) for lo in range(0, nz, step))
+    return np.concatenate([kernel(b) for b in blocks], axis=axis)
 
 
 def _finite_top(logits: np.ndarray) -> np.ndarray:
@@ -79,14 +96,19 @@ def shannon_mi(jxy: Joint2) -> float:
 
 def conditional_mi(j: Joint3) -> float:
     """Shannon conditional mutual information I(X;Y|Z), in nats."""
-    pz, _, cxy, cx, cy = j.conditionals_given_z()
-    # one ratio array, then its log and the terms in place: at 64x64x256
-    # three more temporaries would set the peak RSS of `measure`
-    terms = np.ones(cxy.shape)
-    np.divide(cxy, cx[:, :, None] * cy[:, None, :], out=terms, where=cxy > 0)
-    np.log(terms, out=terms)
-    terms *= cxy
-    return float(np.sum(pz * np.sum(terms, axis=(1, 2))))
+    s = j._z_structure()
+
+    def per_z(b):
+        # one ratio array per block, then its log and the terms in place
+        cxy = s.cxy[b]
+        terms = np.ones(cxy.shape)
+        np.divide(cxy, s.cx[b, :, None] * s.cy[b, None, :], out=terms,
+                  where=cxy > 0)
+        np.log(terms, out=terms)
+        terms *= cxy
+        return np.sum(terms, axis=(1, 2))
+
+    return float(np.sum(s.pz * _per_z(s, per_z)))
 
 
 def sibson_mi(jxy: Joint2, a) -> MiReport:
@@ -179,9 +201,14 @@ def cond_sibson_z(j: Joint3, a) -> MiReport:
     if a.is_one:
         return MiReport(a, conditional_mi(j), COND_Z, Pmf(j.z_labels, s.pz))
     if a.is_inf:
-        prod = s.cx[:, :, None] * s.cy[:, None, :]
-        ratio = np.divide(s.cxy, prod, out=np.zeros_like(prod), where=s.cxy > 0)
-        m = ratio.max(axis=(1, 2))
+
+        def max_ratio(b):
+            # max over (x, y) of P(x,y|z) / (P(x|z) P(y|z)); 0 if z is unreachable
+            prod = s.cx[b, :, None] * s.cy[b, None, :]
+            return np.divide(s.cxy[b], prod, out=np.zeros_like(prod),
+                             where=s.cxy[b] > 0).max(axis=(1, 2))
+
+        m = _per_z(s, max_ratio)
         value = float(np.log(np.dot(s.pz, m)))
         q = s.pz * m
         return MiReport(a, value, COND_Z, Pmf(j.z_labels, q / q.sum()))
@@ -194,23 +221,27 @@ def _cond_z_grid(s, avs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of ``avs``: the (orders, z) optimiser logits and the values.
 
     Orders go through in chunks of at most ``_GRID_CELLS`` (orders x
-    cells) elements, one order at a time past that, and every
-    operation is elementwise or reduces one order's own slice, so each
-    order's row is bit-identical to its one-order call.
+    cells) elements, one order and one z-block at a time past that, and
+    every operation is elementwise or reduces one order's slice for one
+    z, so each order's row is bit-identical to its one-order call.
     """
     nz, nx, ny = s.cxy.shape
     per = max(1, _GRID_CELLS // s.cxy.size)
     logits = np.empty((len(avs), nz))
     for lo in range(0, len(avs), per):
         av = avs[lo:lo + per, None, None, None]
-        # cells off the support of P(.,.|z), and all of an unreachable z,
-        # are -inf through lcxy and drop out of the sums
-        # in place, not _log_power_sum: its temporary adds 1.8 MB peak RSS at 64x64x256
-        terms = np.empty((len(av), nz, nx, ny))
-        np.add(s.lcx[:, :, None], s.lcy[:, None, :], out=terms)
-        terms *= 1.0 - av
-        terms += av * s.lcxy
-        logits[lo:lo + per] = s.lpz + _logsumexp(terms, axis=(2, 3)) / av[:, :, 0, 0]
+
+        def block(b):
+            # cells off the support of P(.,.|z), and all of an unreachable
+            # z, are -inf through lcxy and drop out of the sums; the
+            # terms are built and reduced in one temporary
+            terms = np.empty((len(av), len(s.pz[b]), nx, ny))
+            np.add(s.lcx[b, :, None], s.lcy[b, None, :], out=terms)
+            terms *= 1.0 - av
+            terms += av * s.lcxy[b]
+            return _logsumexp(terms, axis=(2, 3), overwrite=True)
+
+        logits[lo:lo + per] = s.lpz + _per_z(s, block, axis=1) / av[:, :, 0, 0]
     return logits, avs / (avs - 1.0) * _logsumexp(logits, axis=-1)
 
 
@@ -256,7 +287,10 @@ def cond_sibson_ygz(j: Joint3, a) -> MiReport:
         opt = Kernel(j.z_labels, j.y_labels, rows, s.reach)
         return MiReport(a, value, COND_LEAKAGE, opt)
     av = a.value
-    log_b = _log_power_sum(s.lcxy, s.lcx[:, :, None], av, axis=1) / av
+    log_b = _per_z(
+        s, lambda b: _log_power_sum(s.lcxy[b], s.lcx[b, :, None], av, axis=1)
+    )
+    log_b /= av
     l_z = av * _logsumexp(log_b, axis=1)
     value = _logsumexp(s.lpz + l_z) / (av - 1.0)
     rows = np.zeros(log_b.shape)
@@ -267,14 +301,19 @@ def cond_sibson_ygz(j: Joint3, a) -> MiReport:
 
 def _cond_leakage_parts(j: Joint3):
     """Per-z leakage sums and the rows attaining the sup-order minimum."""
-    _, reach, cxy, cx, _ = j.conditionals_given_z()
-    sup = cx[:, :, None] > 0
-    # max over supported x of P(y | x, z); unsupported x rows read 0
-    m = np.divide(cxy, cx[:, :, None], out=np.zeros_like(cxy), where=sup).max(axis=1)
+    s = j._z_structure()
+
+    def col_max(b):
+        # max over supported x of P(y | x, z); unsupported x rows read 0
+        cx = s.cx[b, :, None]
+        return np.divide(s.cxy[b], cx, out=np.zeros(s.cxy[b].shape),
+                         where=cx > 0).max(axis=1)
+
+    m = _per_z(s, col_max)
     sums = m.sum(axis=1)
     rows = np.zeros(m.shape)
-    rows[reach] = m[reach] / sums[reach, None]
-    return float(np.log(sums[reach].max())), rows
+    rows[s.reach] = m[s.reach] / sums[s.reach, None]
+    return float(np.log(sums[s.reach].max())), rows
 
 
 def cond_maximal_leakage(j: Joint3) -> float:

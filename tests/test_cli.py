@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -459,6 +460,90 @@ class TestProbsSlices:
         assert _walked(path)[1].tobytes() == probs.tobytes()
 
 
+# --- the probs array split from the bytes ---------------------------------
+
+# labels that look like the array's key, its bracket and commas, an
+# escaped quote, and non-ASCII text
+_SPLIT_LABELS = ['"probs": [', "]", ",", '"', '\\"', "é", "∑x", "\U0001f600", "a],[b"]
+_SPLIT_SPACE = st.sampled_from(["", " ", "\t", "\r\n", "\r\n\t ", "\n"])
+
+
+@st.composite
+def _split_documents(draw):
+    """``(document bytes, defect)``: a distribution with tricky labels,
+    ``probs`` at any position, CRLF and tab whitespace, and maybe one
+    defect the byte split must leave to the whole-text path."""
+    shape = [draw(st.integers(1, 3)) for _ in range(3)]
+    cells = math.prod(shape)
+    k = draw(st.sampled_from([s for s in _SHARE if s <= cells]))
+    mass = set(draw(st.permutations(range(cells)))[:k])
+    entries = [
+        draw(st.sampled_from(_SHARE[k] if i in mass else _ZERO)).encode()
+        for i in range(cells)
+    ]
+    defect = draw(st.sampled_from(
+        ["repeat", "byte-in", "byte-out", "big-int", "empty", "non-number",
+         "nested-key", "bom"] + ["none"] * 8
+    ))
+    if defect == "byte-in":
+        i = draw(st.integers(0, cells - 1))
+        entries[i] = draw(st.sampled_from([b"\xff", b" \xe9", b"0\x80"])) + entries[i]
+    elif defect == "big-int":
+        entries[draw(st.integers(0, cells - 1))] = str(
+            draw(st.sampled_from([10**400, -(10**400)]))
+        ).encode()
+    elif defect == "non-number":
+        entries[draw(st.integers(0, cells - 1))] = b'"0.5"'
+    space = lambda: draw(_SPLIT_SPACE).encode()  # noqa: E731
+    body = b",".join(space() + e + space() for e in entries)
+    if defect == "empty":
+        body = space()
+    fields = []
+    for name, n in zip(REQUIRED_FIELDS[:3], shape):
+        labels = draw(st.lists(
+            st.sampled_from(_SPLIT_LABELS) | st.text(max_size=2),
+            min_size=n, max_size=n, unique=True,
+        ))
+        fields.append((name, json.dumps(labels, ensure_ascii=draw(st.booleans())).encode()))
+    if defect == "byte-out":
+        i = draw(st.integers(0, 2))
+        fields[i] = (fields[i][0], b'["\xe9"' + fields[i][1][1:])
+    elif defect == "nested-key":
+        # a "probs": [ match inside a label field, ahead of the real one
+        i = draw(st.integers(0, 2))
+        fields[i] = (fields[i][0], b'{"probs": [1]}')
+    fields.insert(draw(st.integers(0, 3)), ("probs", b"[" + body + b"]"))
+    if defect == "repeat":
+        again = draw(st.sampled_from([b"[" + body + b"]", b"null", b"[1]"]))
+        fields.insert(draw(st.integers(0, 4)), ("probs", again))
+    raw = space() + b"{" + b",".join(
+        space() + json.dumps(key).encode() + space() + b":" + space() + value
+        + space() for key, value in fields
+    ) + b"}" + space()
+    if defect == "bom":
+        raw = "\ufeff".encode() + raw
+    return raw, defect
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_split_documents(), slice_chars=st.sampled_from([1, 4, 1 << 16]))
+def test_byte_split_matches_whole_text_reader(doc, slice_chars):
+    raw, defect = doc
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with mock.patch.object(cli, "_SLICE_CHARS", slice_chars):
+            _assert_loaders_agree(path)
+            split = cli._split_fields(raw)
+            if defect == "none":
+                walked = cli._walk_fields(raw.decode("utf-8"))
+                assert split[0] == walked[0]
+                assert split[1].tobytes() == walked[1].tobytes()
+            else:
+                assert split is None
+
+
 # --- one read of the input per invocation ---------------------------------
 
 _FILE_COMMANDS = [
@@ -562,7 +647,10 @@ print(peak() - before)
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="reads VmHWM from /proc"
 )
-def test_load_joint_peak_memory_is_about_twice_the_file(tmp_path):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_load_joint_peak_memory_is_under_one_and_a_half_times_the_file(tmp_path):
+    # the file's bytes (~25 per cell) and the float64 array (8 per cell):
+    # about 1.35x; bytes and decoded text alive together would be 2x
     path = tmp_path / "big.json"
     save_joint(random_joint3(np.random.default_rng(0), (64, 64, 64)), str(path))
     src = os.path.dirname(os.path.dirname(os.path.abspath(sibsonmi.__file__)))
@@ -570,11 +658,53 @@ def test_load_joint_peak_memory_is_about_twice_the_file(tmp_path):
         filter(None, (src, os.environ.get("PYTHONPATH")))
     ))
     done = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE, str(path)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _RSS_PROBE, str(path)],
         env=env, capture_output=True, text=True, check=True,
     )
     growth, size = int(done.stdout), path.stat().st_size
-    assert growth <= 2.25 * size, f"peak RSS grew {growth / size:.2f}x the file size"
+    assert growth <= 1.5 * size, f"peak RSS grew {growth / size:.2f}x the file size"
+
+
+_LARGE_COMMANDS = [
+    RunConfig("measure", alphas=tuple(map(Alpha.coerce, ("0.5", "2", "one", "inf")))),
+    RunConfig("bound", alphas=(Alpha(2.0),), event="x==y or z=='0'", thm="1"),
+    RunConfig("bound", alphas=(Alpha(2.0),), event="x==y or z=='0'", thm="3"),
+]
+
+
+@pytest.fixture(scope="module")
+def large_joint():
+    # 655,360 cells, ten times the per-z kernels' block bound
+    j = random_joint3(np.random.default_rng(0), (64, 64, 160))
+    assert j.probs.size >= 10 * sibsonmi.sibson._GRID_CELLS
+    return j
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "config", _LARGE_COMMANDS, ids=["measure", "bound_thm1", "bound_thm3"]
+)
+def test_commands_price_a_large_joint_in_blocks(large_joint, config):
+    # the structure given z holds P(.,.|z) and its log: 2x the joint plus
+    # a mask while the log is written (the compress-and-scatter log took
+    # 4x); the command then adds block-sized temporaries only (whole-joint
+    # temporaries took 2x more)
+    j = Joint3(large_joint.x_labels, large_joint.y_labels, large_joint.z_labels,
+               large_joint.probs)
+    size = j.probs.nbytes
+    tracemalloc.start()
+    try:
+        j._z_structure()
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        status = cli._COMMANDS[config.command](config, cli._base_report(config, None), j)
+        command = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert built <= 2.5 * size, f"the structure took {built / size:.2f}x the joint"
+    assert command <= 0.75 * size, f"the command took {command / size:.2f}x the joint"
 
 
 class TestEventParser:
@@ -1142,3 +1272,31 @@ def test_run_without_input_raises_before_anything_runs(command, monkeypatch, cap
     with pytest.raises(ValidationError, match="^--input is required$"):
         run(RunConfig(command, alphas=(Alpha(2.0),), event="x==y", n=1, tau=0.5))
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["bound", "--thm", "5"], "argument --thm: invalid choice: '5'"),
+        # argparse takes -inf for an option, not a value (--tau=-inf reads it)
+        (["simulate", "--n", "3", "--tau", "-inf"],
+         "argument --tau: expected one argument"),
+        (["measure", "--alpha", "2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["measure", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_is_one_error_record(ref_path, capsys, args, message):
+    assert main([*args, "--input", ref_path]) == 2
+    record = _error_record(capsys)
+    assert set(record) == {"error", "message"}
+    assert record["error"] == "ValidationError"
+    assert record["message"].startswith(message)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: sibsonmi") and err == ""

@@ -16,6 +16,7 @@ from sibsonmi.core import (
     Joint4,
     Kernel,
     Pmf,
+    _log,
     absolutely_continuous,
     conditional,
     marginal,
@@ -395,3 +396,36 @@ def test_alpha_coerce_text_gives_order_or_validation_error(text):
     except ValidationError:
         return
     assert isinstance(a, Alpha) and a.value > 0
+
+
+def _log_compress_and_scatter(a, fill=-math.inf):
+    """The logs of the positive entries gathered, taken and scattered back:
+    the form ``_log`` replaced with a masked in-place log."""
+    out = np.full(a.shape, fill)
+    pos = a > 0
+    out[pos] = np.log(a[pos])
+    return out
+
+
+@pytest.mark.parametrize("fill", [-math.inf, 0.0])
+def test_in_place_log_matches_compress_and_scatter(fill):
+    # every length across the SIMD widths, zero runs at every offset,
+    # subnormals, and contiguous, offset and strided views
+    rng = np.random.default_rng(29)
+    for n in range(1, 71):
+        for _ in range(8):
+            a = 10.0 ** rng.uniform(-325.0, 300.0, 2 * n + 1)
+            a[rng.random(a.size) < 0.2] = rng.choice([5e-324, 1e-310, 2.2e-308])
+            for _ in range(rng.integers(0, 4)):
+                lo = int(rng.integers(0, a.size))
+                a[lo:lo + int(rng.integers(1, 9))] = 0.0
+            a[rng.random(a.size) < 0.05] = rng.choice([-1.0, math.nan, math.inf])
+            for view in (a[:n], a[1:n + 1], a[::2][:n]):
+                assert _log(view, fill).tobytes() == (
+                    _log_compress_and_scatter(view, fill).tobytes()
+                )
+    cells = rng.random((4, 5, 7))
+    cells[cells < 0.3] = 0.0
+    cells[0, 0, :3] = 5e-324
+    for view in (cells, np.moveaxis(cells, 2, 0)):
+        assert _log(view, fill).tobytes() == _log_compress_and_scatter(view, fill).tobytes()

@@ -530,10 +530,15 @@ class TestCondZGrid:
         sizes = []
         real = sibson._logsumexp
 
-        def spy(a, axis=None):
+        def spy(a, axis=None, **kwargs):
             sizes.append(np.size(a))
-            return real(a, axis)
+            return real(a, axis, **kwargs)
 
         monkeypatch.setattr(sibson, "_logsumexp", spy)
         cond_sibson_z_values(ref, np.linspace(0.1, 0.9, 7))
         assert sizes[:-1] == [24, 24, 8]
+        # under one order's 8 cells: one order and one z (4 cells) at a time
+        sizes.clear()
+        monkeypatch.setattr(sibson, "_GRID_CELLS", 5)
+        cond_sibson_z_values(ref, np.linspace(0.1, 0.9, 3))
+        assert sizes[:-1] == [4] * 6

@@ -93,7 +93,9 @@ def test_bound_spans_reach_measure_and_product(tmp_path):
     edges = _traced_edges(tmp_path, "bound", "--thm", "3", "--alpha", "2",
                           "--event", "x==y")
     assert edges["bounds.bound_thm3", "sibson.cond_sibson_z"] == 1
-    assert edges["bounds.bound_thm3", "core.markov_product"] == 1
+    # the domination check prices the product from the cached structure
+    # given z, block by block, and builds no markov_product joint
+    assert edges["bounds.bound_thm3", "core.markov_product"] == 0
     edges = _traced_edges(tmp_path, "bound", "--thm", "1", "--alpha", "2",
                           "--event", "x==y")
     assert edges["bounds.bound_thm1", "sibson.cond_sibson_ygz"] == 1
