@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import re
@@ -72,10 +73,13 @@ comparisons are exact string comparisons, for example
 
 REQUIRED_FIELDS = ("x_labels", "y_labels", "z_labels", "probs")
 LOAD_MASS_TOL = 1e-9
-# characters of ``probs`` decoded per json.loads call (a slice ends at a comma)
+# bytes read per call, and characters of ``probs`` decoded per json.loads
+# call (a piece ends at a comma)
 _SLICE_CHARS = 1 << 16
 _JSON_WS = re.compile(r"[ \t\n\r]*")
 _PROBS_KEY = re.compile(rb'"probs"[ \t\n\r]*:[ \t\n\r]*\[')
+# what may follow a '"probs"' that more bytes could still make a key match
+_KEY_TAIL = re.compile(rb"[ \t\n\r]*(?::[ \t\n\r]*)?")
 _DECODER = json.JSONDecoder()
 
 
@@ -83,14 +87,17 @@ def load_joint(path: str) -> tuple[Joint3, str]:
     """Read and validate a distribution file; return the joint and the
     SHA-256 hex digest of exactly the bytes it was parsed from.
 
-    The file is opened and read once. A well-formed file is never
-    decoded whole and never holds one Python float per probability: the
-    ``probs`` array is found in the file's bytes and decoded from them in
-    comma-aligned slices of about 64 K bytes into one float64 array,
-    normalised in place, and only the bytes around it become text. So
-    peak memory is the file's bytes plus the float64 array. Any other
-    file is decoded and parsed whole, which gives every file the same
-    joint or the same message as one ``json.load``.
+    The file is opened once and read in chunks of ``_SLICE_CHARS``
+    bytes, each hashed as it comes. A well-formed file is never held
+    whole and never holds one Python float per probability: the
+    ``probs`` array is decoded as it streams past, in comma-aligned
+    pieces, into one growable buffer of float64 bytes that becomes the
+    array without a copy and is normalised in place, and only the bytes
+    around it become text. So peak memory is that array plus the joint's
+    own copy of it. Any other file is read again from the start of the same
+    handle, decoded and parsed whole, which gives every file the same
+    joint or the same message as one ``json.load``. An input that cannot
+    seek (a pipe) is read whole first.
 
     A file that is not UTF-8 JSON, non-finite, negative and out-of-float-
     range entries, and total mass off 1 by more than 1e-9 are rejected as
@@ -98,11 +105,16 @@ def load_joint(path: str) -> tuple[Joint3, str]:
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            src = fh if fh.seekable() else io.BytesIO(fh.read())
+            sha = hashlib.sha256()
+            fields = _stream_fields(src, sha)
+            if fields is None:
+                src.seek(0)
+                raw = src.read()
+                sha = hashlib.sha256(raw)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
-    fields = _split_fields(raw)
+    digest = sha.hexdigest()
     if fields is None:
         try:
             text = raw.decode("utf-8")
@@ -111,11 +123,10 @@ def load_joint(path: str) -> tuple[Joint3, str]:
                 f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at byte "
                 f"position {exc.start}"
             ) from exc
-    # the bytes (and below, the text) are freed before probs is validated,
-    # normalised and copied: alive, they would overlap those copies and
-    # raise peak memory
-    del raw
-    if fields is None:
+        # the bytes, and below the text, are freed before probs is
+        # validated, normalised and copied: alive, they would overlap
+        # those copies and raise peak memory
+        del raw
         try:
             fields = _walk_fields(text)
         except (ValueError, OverflowError, RecursionError):
@@ -128,7 +139,7 @@ def load_joint(path: str) -> tuple[Joint3, str]:
         raise InputFormatError(
             f"{path}: probs has {len(probs)} entries, expected {nx * ny * nz}"
         )
-    try:  # no copy of the sliced reader's array; only a list can overflow
+    try:  # no copy of the streamed or walked array; only a list can overflow
         arr = np.asarray(probs, dtype=float)
     except OverflowError:
         for i, v in enumerate(probs):
@@ -139,9 +150,8 @@ def load_joint(path: str) -> tuple[Joint3, str]:
                     f"{path}: integer entry at flat index {i} is out of the "
                     "float range"
                 ) from None
-    finite = np.isfinite(arr)
-    if not np.all(finite):
-        i = int(np.argmin(finite))
+    if not np.isfinite(arr).all():  # no joint-sized mask outlives a check
+        i = int(np.argmin(np.isfinite(arr)))
         raise InputFormatError(
             f"{path}: non-finite entry {float(arr[i])!r} at flat index {i}"
         )
@@ -157,40 +167,69 @@ def load_joint(path: str) -> tuple[Joint3, str]:
             f"{path}: total mass {total!r} deviates from 1 by more than "
             f"{LOAD_MASS_TOL}"
         )
-    arr /= total  # this call's own array: the sliced reader's, or a list's copy
+    arr /= total  # this call's own array: the decoded buffer, or a list's copy
     return Joint3(*labels, arr.reshape(nx, ny, nz)), digest
 
 
-def _split_fields(raw: bytes):
-    """``_walk_fields`` of the document ``raw`` with its ``probs`` array
-    decoded straight from the bytes and only the bytes around the array
-    decoded to text; None for a document this split does not cover
-    exactly (no ``"probs": [`` in the bytes, a match that is not the one
-    ``probs`` value the walker reads, or anything the walker rejects).
+def _stream_fields(fh, sha):
+    """``_walk_fields`` of the document read from ``fh``, with its
+    ``probs`` array decoded from the bytes as they stream past and only
+    the bytes around the array decoded to text; None for a document the
+    stream does not cover exactly (no ``"probs": [`` in the bytes, a
+    match that is not the one ``probs`` value the walker reads, or
+    anything the walker rejects). Every chunk read goes into ``sha``.
 
     The array ends at its first ``]`` and its commas are single bytes, as
     in the decoded text, so the walk sees what it sees on the whole
     text."""
-    m = _PROBS_KEY.search(raw)
-    if m is None:
-        return None
-    end = raw.find(b"]", m.end())
-    if end < 0:
-        return None
-    try:
-        # the text keeps the opening bracket, where the walker must come
-        # to read probs, and resumes past the closing one
-        head = raw[:m.end()].decode("utf-8")
-        outside = head + raw[end + 1:].decode("utf-8")
 
-        def probs_at_cut(text, pos):
+    def read():
+        chunk = fh.read(_SLICE_CHARS)
+        sha.update(chunk)
+        return chunk
+
+    head, scan = bytearray(), 0
+    try:
+        while (m := _PROBS_KEY.search(head, scan)) is None:
+            # past a failed search a match can start only at a '"probs"'
+            # that more bytes could complete, or in the last 6 bytes
+            last = head.rfind(b'"probs"', scan)
+            if last >= 0 and _KEY_TAIL.fullmatch(head, last + 7):
+                scan = last
+            else:
+                scan = max(scan, len(head) - 6)
+            chunk = read()
+            if not chunk:
+                return None
+            head += chunk
+        # the text keeps the opening bracket, where the walker must come
+        # to read probs
+        text = head[:m.end()].decode("utf-8")
+        body = bytes(head[m.end():])
+        del head
+        probs = bytearray()
+        while (end := body.find(b"]")) < 0:
+            cut = body.rfind(b",")
+            if cut >= 0:
+                _decode_piece(body[:cut], probs)
+                body = body[cut + 1:]
+            chunk = read()
+            if not chunk:
+                return None
+            body += chunk
+        _decode_piece(body[:end], probs)
+        rest = [body[end + 1:]]
+        while chunk := read():
+            rest.append(chunk)
+
+        def probs_at_cut(outside, pos):
             # a probs key anywhere else (a repeat, or a match that is not
             # the value) leaves the file to the whole-text path
-            if pos != len(head) - 1:
+            if pos != len(text) - 1:
                 raise ValueError("probs is not the array cut from the bytes")
-            return _probs_slices(raw, m.end(), end), len(head)
+            return np.frombuffer(probs), len(text)
 
-        return _walk_fields(outside, probs_at_cut)
+        return _walk_fields(text + b"".join(rest).decode("utf-8"), probs_at_cut)
     except (ValueError, OverflowError, RecursionError):
         return None
 
@@ -240,40 +279,30 @@ def _decode_probs(text: str, pos: int):
     end = text.find("]", lo)
     if end < 0:
         raise ValueError("unterminated probs array")
-    return _probs_slices(text, lo, end), end + 1
-
-
-def _probs_slices(buf, lo: int, end: int) -> np.ndarray:
-    """The numbers of ``buf[lo:end]``, the body of a flat array in a str
-    or in UTF-8 bytes, decoded slice by slice into one float64 array
-    preallocated from the comma count.
-
-    The array ends at the first ``]``: a string or nested array inside
-    it leaves a slice that does not parse or holds a non-number, and an
-    empty element leaves fewer numbers than commas allow. A byte slice
-    that is not UTF-8 raises too.
-    """
-    text = isinstance(buf, str)
-    comma = "," if text else b","
-    probs = np.empty(buf.count(comma, lo, end) + 1)
-    filled = 0
-    while True:
-        hi = buf.find(comma, min(lo + _SLICE_CHARS, end), end)
-        if hi < 0:
-            hi = end
-        # bytes are decoded from a view, with no copy of the slice
-        piece = buf[lo:hi] if text else str(memoryview(buf)[lo:hi], "utf-8")
-        values = json.loads("[" + piece + "]")
-        if not set(map(type, values)) <= {int, float}:
-            raise ValueError("probs holds a non-number")
-        probs[filled:filled + len(values)] = values
-        filled += len(values)
-        if hi == end:
-            break
+    probs = bytearray()
+    while (hi := text.find(",", min(lo + _SLICE_CHARS, end), end)) >= 0:
+        _decode_piece(text[lo:hi], probs)
         lo = hi + 1
-    if filled != len(probs):
-        raise ValueError("probs has an empty element")
-    return probs
+    _decode_piece(text[lo:end], probs)
+    return np.frombuffer(probs), end + 1
+
+
+def _decode_piece(piece, probs: bytearray) -> None:
+    """Append the numbers of ``piece``, one or more comma-separated
+    elements of a flat array, as a str or as UTF-8 bytes, to ``probs``
+    as float64 bytes.
+
+    The array ends at its first ``]``: a string or nested array inside
+    it leaves a piece that does not parse or holds a non-number. A piece
+    with no element (an empty array or element), bytes that are not
+    UTF-8 and an integer past the float range raise too.
+    """
+    if not isinstance(piece, str):
+        piece = str(piece, "utf-8")
+    values = json.loads("[" + piece + "]")
+    if not values or not set(map(type, values)) <= {int, float}:
+        raise ValueError("probs has an empty element or a non-number")
+    probs += np.array(values, dtype=float).tobytes()
 
 
 def _read_whole(path: str, text: str):

@@ -42,9 +42,8 @@ def _check_labels(labels, name: str) -> tuple:
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        idx = tuple(np.argwhere(bad)[0].tolist())
+    if not np.isfinite(values).all():  # one mask at a time, none kept
+        idx = tuple(np.argwhere(~np.isfinite(values))[0].tolist())
         raise ValidationError(
             f"{what} has a non-finite entry {idx} = {float(values[idx])!r}"
         )
@@ -301,13 +300,15 @@ def _log(a: np.ndarray, fill: float = -math.inf) -> np.ndarray:
 class _GivenZ:
     """Read-only conditional structure of a joint given each z symbol.
 
-    The arrays of ``Joint3.conditionals_given_z`` plus their logs.  Zero
-    masses have ``lpz`` and ``lcxy`` -inf but ``lcx`` and ``lcy`` 0, so
-    a term weighting ``lcxy`` by a positive order is -inf off the
-    support of P(.,.|z) and never NaN.
+    The arrays of ``Joint3.conditionals_given_z`` plus the logs of
+    ``pz``, ``cx`` and ``cy``: one joint-sized array, ``cxy``, whose log
+    each kernel takes per z-block (``_log(cxy[b])``), so a joint costs
+    one copy here, not two. Zero masses have ``lpz`` -inf but ``lcx``
+    and ``lcy`` 0, so a term weighting ``_log(cxy)`` by a positive order
+    is -inf off the support of P(.,.|z) and never NaN.
     """
 
-    __slots__ = ("pz", "reach", "cxy", "cx", "cy", "lpz", "lcxy", "lcx", "lcy")
+    __slots__ = ("pz", "reach", "cxy", "cx", "cy", "lpz", "lcx", "lcy")
 
     def __init__(self, probs: np.ndarray):
         pz = probs.sum(axis=(0, 1))
@@ -319,7 +320,7 @@ class _GivenZ:
         cx = cxy.sum(axis=2)
         cy = cxy.sum(axis=1)
         self.pz, self.reach, self.cxy, self.cx, self.cy = pz, reach, cxy, cx, cy
-        self.lpz, self.lcxy = _log(pz), _log(cxy)
+        self.lpz = _log(pz)
         self.lcx, self.lcy = _log(cx, 0.0), _log(cy, 0.0)
         for name in self.__slots__:
             getattr(self, name).flags.writeable = False

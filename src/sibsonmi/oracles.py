@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Alpha, Joint2, Joint3
+from .core import Alpha, Joint3
 from .errors import ResourceLimitError, ValidationError
 
 GRID_POINT_CAP = 5_000_000
@@ -230,7 +230,12 @@ def _scan_slices(f_stack, n: int, dim: int, m: int):
     """Each problem's first grid minimum over a grid too large to price
     whole, slice by slice; NaN wins as in ``np.argmin``."""
     q, fq = np.empty((n, dim)), np.empty(n)
-    for s, points in enumerate(_grid_slices(dim, m, _SCAN_POINTS)):
+    # slices of a quarter of the cap: at the whole cap, the temporaries of
+    # one slice of the 501,501-point grid of three coordinates (1.5 MB an
+    # array) could outgrow the heap that earlier work had left free, and
+    # whether they did depended on that heap's layout, which moved the
+    # peak RSS of a selftest run by about 1 MB with the environment size
+    for s, points in enumerate(_grid_slices(dim, m, max(1, _SCAN_POINTS // 4))):
         for r in range(n):
             vals = np.asarray(f_stack(np.array([r]), points[None]), dtype=float)[0]
             k = int(np.argmin(vals))
@@ -327,25 +332,6 @@ def _auto_step(dim: int, step: float | None) -> float:
     if dim <= 3:
         return 1e-3
     return 0.02 if dim <= 5 else 0.05
-
-
-def sibson_mi_oracle(jxy: Joint2, a, step: float | None = None):
-    """min over output pmfs Q of D_a(P_XY || P_X x Q), definitionally.
-
-    Returns ``(value, argmin_q)``.
-    """
-    av = _finite_alpha(a)
-    p = jxy.probs.ravel()
-    px = jxy.probs.sum(axis=1)
-    ny = jxy.probs.shape[1]
-    step = _auto_step(ny, step)
-
-    def f_batch(qs: np.ndarray) -> np.ndarray:
-        ms = (px[None, :, None] * qs[:, None, :]).reshape(qs.shape[0], -1)
-        return batch_renyi_from_defs(p, ms, av)
-
-    q, val = minimize_on_simplex(f_batch, ny, step=step)
-    return val, q
 
 
 def _one_shape(joints) -> tuple[list[Joint3], tuple[int, int, int]]:

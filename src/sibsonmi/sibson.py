@@ -90,8 +90,36 @@ def shannon_mi(jxy: Joint2) -> float:
     px = p.sum(axis=1)
     py = p.sum(axis=0)
     pos = p > 0
-    ratio = p[pos] / (np.outer(px, py)[pos])
-    return float(np.sum(p[pos] * np.log(ratio)))
+    pxy, prod = p[pos], np.outer(px, py)[pos]
+    lr = np.log(np.divide(pxy, prod, out=np.ones_like(pxy), where=prod > 0))
+    u = prod == 0
+    if u.any():  # P(x)P(y) underflows to 0: the log-ratio from logs
+        x, y = (i[u] for i in np.nonzero(pos))
+        lr[u] = np.log(pxy[u]) - np.log(px[x]) - np.log(py[y])
+    return float(np.sum(pxy * lr))
+
+
+def _ratio_block(s, b, log: bool) -> np.ndarray:
+    """P(x,y|z) / (P(x|z) P(y|z)) on the z-block ``b`` of the structure
+    ``s`` where P(x,y|z) > 0 and 0 elsewhere, or with ``log`` its log
+    and 0 elsewhere. A cell whose product underflows to 0 under a
+    positive P(x,y|z) takes its log-ratio from logs,
+    log P(x,y|z) - log P(x|z) - log P(y|z); every other cell is the plain
+    ratio.
+    """
+    cxy = s.cxy[b]
+    prod = s.cx[b, :, None] * s.cy[b, None, :]
+    pos, ok = cxy > 0, prod > 0
+    out = np.full(cxy.shape, 1.0 if log else 0.0)
+    np.divide(cxy, prod, out=out, where=pos & ok)
+    if log:
+        np.log(out, out=out)
+    under = pos & ~ok
+    if under.any():
+        z, x, y = np.nonzero(under)
+        lr = np.log(cxy[z, x, y]) - s.lcx[b][z, x] - s.lcy[b][z, y]
+        out[z, x, y] = lr if log else np.exp(lr)
+    return out
 
 
 def conditional_mi(j: Joint3) -> float:
@@ -99,13 +127,9 @@ def conditional_mi(j: Joint3) -> float:
     s = j._z_structure()
 
     def per_z(b):
-        # one ratio array per block, then its log and the terms in place
-        cxy = s.cxy[b]
-        terms = np.ones(cxy.shape)
-        np.divide(cxy, s.cx[b, :, None] * s.cy[b, None, :], out=terms,
-                  where=cxy > 0)
-        np.log(terms, out=terms)
-        terms *= cxy
+        # one log-ratio array per block, then the terms in place
+        terms = _ratio_block(s, b, log=True)
+        terms *= s.cxy[b]
         return np.sum(terms, axis=(1, 2))
 
     return float(np.sum(s.pz * _per_z(s, per_z)))
@@ -204,9 +228,7 @@ def cond_sibson_z(j: Joint3, a) -> MiReport:
 
         def max_ratio(b):
             # max over (x, y) of P(x,y|z) / (P(x|z) P(y|z)); 0 if z is unreachable
-            prod = s.cx[b, :, None] * s.cy[b, None, :]
-            return np.divide(s.cxy[b], prod, out=np.zeros_like(prod),
-                             where=s.cxy[b] > 0).max(axis=(1, 2))
+            return _ratio_block(s, b, log=False).max(axis=(1, 2))
 
         m = _per_z(s, max_ratio)
         value = float(np.log(np.dot(s.pz, m)))
@@ -220,28 +242,30 @@ def _cond_z_grid(s, avs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The finite-order closed form of ``cond_sibson_z`` at every order
     of ``avs``: the (orders, z) optimiser logits and the values.
 
-    Orders go through in chunks of at most ``_GRID_CELLS`` (orders x
-    cells) elements, one order and one z-block at a time past that, and
-    every operation is elementwise or reduces one order's slice for one
-    z, so each order's row is bit-identical to its one-order call.
+    z goes in the blocks of ``_per_z``, each block's log P(.,.|z) taken
+    once, and within a block the orders go in chunks of at most
+    ``_GRID_CELLS`` (orders x cells) elements, one order at a time past
+    that. Every operation is elementwise or reduces one order's slice for
+    one z, so each order's row is bit-identical to its one-order call.
     """
-    nz, nx, ny = s.cxy.shape
-    per = max(1, _GRID_CELLS // s.cxy.size)
-    logits = np.empty((len(avs), nz))
-    for lo in range(0, len(avs), per):
-        av = avs[lo:lo + per, None, None, None]
 
-        def block(b):
-            # cells off the support of P(.,.|z), and all of an unreachable
-            # z, are -inf through lcxy and drop out of the sums; the
-            # terms are built and reduced in one temporary
-            terms = np.empty((len(av), len(s.pz[b]), nx, ny))
+    def block(b):
+        # cells off the support of P(.,.|z), and all of an unreachable
+        # z, are -inf through the log and drop out of the sums; each
+        # chunk's terms are built and reduced in one temporary
+        lcxy = _log(s.cxy[b])
+        per = max(1, _GRID_CELLS // lcxy.size)
+        sums = np.empty((len(avs), len(lcxy)))
+        for lo in range(0, len(avs), per):
+            av = avs[lo:lo + per, None, None, None]
+            terms = np.empty((len(av), *lcxy.shape))
             np.add(s.lcx[b, :, None], s.lcy[b, None, :], out=terms)
             terms *= 1.0 - av
-            terms += av * s.lcxy[b]
-            return _logsumexp(terms, axis=(2, 3), overwrite=True)
+            terms += av * lcxy
+            sums[lo:lo + per] = _logsumexp(terms, axis=(2, 3), overwrite=True)
+        return sums
 
-        logits[lo:lo + per] = s.lpz + _per_z(s, block, axis=1) / av[:, :, 0, 0]
+    logits = s.lpz + _per_z(s, block, axis=1) / avs[:, None]
     return logits, avs / (avs - 1.0) * _logsumexp(logits, axis=-1)
 
 
@@ -288,7 +312,7 @@ def cond_sibson_ygz(j: Joint3, a) -> MiReport:
         return MiReport(a, value, COND_LEAKAGE, opt)
     av = a.value
     log_b = _per_z(
-        s, lambda b: _log_power_sum(s.lcxy[b], s.lcx[b, :, None], av, axis=1)
+        s, lambda b: _log_power_sum(_log(s.cxy[b]), s.lcx[b, :, None], av, axis=1)
     )
     log_b /= av
     l_z = av * _logsumexp(log_b, axis=1)

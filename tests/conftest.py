@@ -4,6 +4,12 @@ import pytest
 from sibsonmi.core import EventMask, Joint2, Joint3, Kernel, require_conformal
 from sibsonmi.errors import ShapeMismatchError
 from sibsonmi.instances import reference_joint
+from sibsonmi.oracles import (
+    _auto_step,
+    _finite_alpha,
+    batch_renyi_from_defs,
+    minimize_on_simplex,
+)
 
 
 @pytest.fixture
@@ -52,3 +58,20 @@ def event_slice_zy(e: EventMask, j: Joint3, z, y) -> np.ndarray:
     """The x slice of the event at fixed (z, y) symbols."""
     require_conformal(e, j)
     return e.mask[:, j.y_labels.index(y), j.z_labels.index(z)]
+
+
+def sibson_mi_oracle(jxy: Joint2, a, step: float | None = None):
+    """min over output pmfs Q of D_a(P_XY || P_X x Q), definitionally,
+    on the simplex grid of the oracles.  Returns ``(value, argmin_q)``.
+    """
+    av = _finite_alpha(a)
+    p = jxy.probs.ravel()
+    px = jxy.probs.sum(axis=1)
+    ny = jxy.probs.shape[1]
+
+    def f_batch(qs: np.ndarray) -> np.ndarray:
+        ms = (px[None, :, None] * qs[:, None, :]).reshape(qs.shape[0], -1)
+        return batch_renyi_from_defs(p, ms, av)
+
+    q, val = minimize_on_simplex(f_batch, ny, step=_auto_step(ny, step))
+    return val, q

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import hashlib
+import io
 import json
 import math
 import os
@@ -460,7 +461,7 @@ class TestProbsSlices:
         assert _walked(path)[1].tobytes() == probs.tobytes()
 
 
-# --- the probs array split from the bytes ---------------------------------
+# --- the probs array streamed from the file's bytes ----------------------
 
 # labels that look like the array's key, its bracket and commas, an
 # escaped quote, and non-ASCII text
@@ -472,7 +473,7 @@ _SPLIT_SPACE = st.sampled_from(["", " ", "\t", "\r\n", "\r\n\t ", "\n"])
 def _split_documents(draw):
     """``(document bytes, defect)``: a distribution with tricky labels,
     ``probs`` at any position, CRLF and tab whitespace, and maybe one
-    defect the byte split must leave to the whole-text path."""
+    defect the stream must leave to the whole-text path."""
     shape = [draw(st.integers(1, 3)) for _ in range(3)]
     cells = math.prod(shape)
     k = draw(st.sampled_from([s for s in _SHARE if s <= cells]))
@@ -526,22 +527,40 @@ def _split_documents(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(doc=_split_documents(), slice_chars=st.sampled_from([1, 4, 1 << 16]))
-def test_byte_split_matches_whole_text_reader(doc, slice_chars):
+@given(doc=_split_documents(), read_size=st.sampled_from([1, 4, 1 << 16]))
+def test_stream_matches_whole_text_reader(doc, read_size):
+    # clean documents stream to the walker's fields and the file's digest;
+    # every defect leaves the stream to the whole-text path
     raw, defect = doc
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "wb") as fh:
             fh.write(raw)
-        with mock.patch.object(cli, "_SLICE_CHARS", slice_chars):
+        with mock.patch.object(cli, "_SLICE_CHARS", read_size):
             _assert_loaders_agree(path)
-            split = cli._split_fields(raw)
+            sha = hashlib.sha256()
+            streamed = cli._stream_fields(io.BytesIO(raw), sha)
             if defect == "none":
                 walked = cli._walk_fields(raw.decode("utf-8"))
-                assert split[0] == walked[0]
-                assert split[1].tobytes() == walked[1].tobytes()
+                assert streamed[0] == walked[0]
+                assert streamed[1].tobytes() == walked[1].tobytes()
+                assert sha.hexdigest() == hashlib.sha256(raw).hexdigest()
             else:
-                assert split is None
+                assert streamed is None
+
+
+@pytest.mark.parametrize("read_size", [1, 4, 7, 1 << 16])
+def test_stream_finds_a_key_spread_over_many_reads(read_size, monkeypatch):
+    # whitespace inside the key and a '"probs"' label ahead of it: the key
+    # match starts reads before it ends, and the stream still covers the file
+    monkeypatch.setattr(cli, "_SLICE_CHARS", read_size)
+    doc = {**base_doc(), "x_labels": ["probs", "1"]}
+    text = json.dumps(doc).replace('"probs": [', '"probs"' + " " * 40 + ":\r\n\t [")
+    raw = text.encode()
+    streamed = cli._stream_fields(io.BytesIO(raw), hashlib.sha256())
+    walked = cli._walk_fields(text)
+    assert streamed[0] == walked[0]
+    assert streamed[1].tobytes() == walked[1].tobytes()
 
 
 # --- one read of the input per invocation ---------------------------------
@@ -590,6 +609,37 @@ def test_each_command_opens_its_input_once(tmp_path, monkeypatch, args, fallback
     assert f"input_sha256: {digest}\n" in out.read_text()
 
 
+def _python(*args, stdin=b""):
+    """A fresh interpreter on this package with RuntimeWarnings as errors,
+    run to completion with ``stdin`` piped to it; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sibsonmi.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *map(str, args)],
+        env=env, input=stdin, capture_output=True, check=True,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("fallback", [False, True])
+def test_piped_input_gives_the_file_report(tmp_path, fallback):
+    # a pipe cannot seek, so it is read whole first; the report differs
+    # from the file's only in the input path it echoes
+    path = _fallback_doc(tmp_path) if fallback else write_doc(tmp_path, base_doc())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    args = ("-m", "sibsonmi.cli", "measure", "--alpha", "2", "--alpha", "one",
+            "--input")
+    piped = _python(*args, "/dev/stdin", stdin=raw)
+    direct = _python(*args, path)
+    assert piped.stderr == direct.stderr == b""
+    assert piped.stdout.replace(b"input: /dev/stdin\n", f"input: {path}\n".encode()) == (
+        direct.stdout
+    )
+
+
 @pytest.mark.parametrize("eol", ["\r\n", "\r"])
 def test_malformed_document_line_ends_translated(tmp_path, eol):
     # a text-mode json.load counts a lone \r as a line end too
@@ -631,7 +681,7 @@ def test_cli_imports_no_private_package_name():
 # across exec, so the probe reads the peak of its own address space
 _RSS_PROBE = """
 import sys
-from sibsonmi.cli import load_joint
+from sibsonmi.cli import load_joint, main
 
 def peak():
     with open("/proc/self/status") as fh:
@@ -639,7 +689,30 @@ def peak():
     return int(line.split()[1]) * 1024
 
 before = peak()
-load_joint(sys.argv[1])
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads VmHWM from /proc"
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_load_joint_peak_memory_is_under_three_quarters_of_the_file(tmp_path):
+    # the streamed float64 array (8 bytes per cell against ~25 in the
+    # file) and the joint's copy of it: about 0.69x; holding the file's
+    # bytes as well took 1.37x
+    path = tmp_path / "big.json"
+    save_joint(random_joint3(np.random.default_rng(0), (64, 64, 64)), str(path))
+    probe = _RSS_PROBE + "load_joint(sys.argv[1])\nprint(peak() - before)\n"
+    growth, size = int(_python("-c", probe, path).stdout), path.stat().st_size
+    assert growth <= 0.75 * size, f"peak RSS grew {growth / size:.2f}x the file size"
+
+
+_COMMAND_RSS_PROBE = _RSS_PROBE + """
+path, out = sys.argv[1:]
+assert main(["measure", "--input", path, "--output", out, "--alpha", "0.5",
+             "--alpha", "2", "--alpha", "one", "--alpha", "inf"]) == 0
+assert main(["bound", "--input", path, "--output", out, "--thm", "3",
+             "--alpha", "2", "--event", "x==y or z=='0'"]) == 0
 print(peak() - before)
 """
 
@@ -648,21 +721,19 @@ print(peak() - before)
     not sys.platform.startswith("linux"), reason="reads VmHWM from /proc"
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_load_joint_peak_memory_is_under_one_and_a_half_times_the_file(tmp_path):
-    # the file's bytes (~25 per cell) and the float64 array (8 per cell):
-    # about 1.35x; bytes and decoded text alive together would be 2x
+def test_measure_and_bound_peak_memory_is_under_three_and_a_half_joints(tmp_path):
+    # measure, then bound, on a 64x64x160 file in one process: each holds
+    # the joint, the structure's one joint-sized array and block-sized
+    # temporaries, and its load the streamed array and the joint's copy
+    # (about 3.2x with the heap the first command leaves); the file's
+    # bytes held while loading and the log of P(.,.|z) kept in the
+    # structure took 4.4x
     path = tmp_path / "big.json"
-    save_joint(random_joint3(np.random.default_rng(0), (64, 64, 64)), str(path))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sibsonmi.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))
-    ))
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", _RSS_PROBE, str(path)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    growth, size = int(done.stdout), path.stat().st_size
-    assert growth <= 1.5 * size, f"peak RSS grew {growth / size:.2f}x the file size"
+    j = random_joint3(np.random.default_rng(0), (64, 64, 160))
+    save_joint(j, str(path))
+    growth = int(_python("-c", _COMMAND_RSS_PROBE, path, tmp_path / "r.txt").stdout)
+    size = j.probs.nbytes
+    assert growth <= 3.5 * size, f"peak RSS grew {growth / size:.2f}x the joint"
 
 
 _LARGE_COMMANDS = [
@@ -685,9 +756,9 @@ def large_joint():
     "config", _LARGE_COMMANDS, ids=["measure", "bound_thm1", "bound_thm3"]
 )
 def test_commands_price_a_large_joint_in_blocks(large_joint, config):
-    # the structure given z holds P(.,.|z) and its log: 2x the joint plus
-    # a mask while the log is written (the compress-and-scatter log took
-    # 4x); the command then adds block-sized temporaries only (whole-joint
+    # the structure given z holds P(.,.|z) only: 1x the joint (with its
+    # log as well it took 2x, and the compress-and-scatter log 4x); the
+    # command then adds block-sized temporaries only (whole-joint
     # temporaries took 2x more)
     j = Joint3(large_joint.x_labels, large_joint.y_labels, large_joint.z_labels,
                large_joint.probs)
@@ -703,7 +774,7 @@ def test_commands_price_a_large_joint_in_blocks(large_joint, config):
     finally:
         tracemalloc.stop()
     assert status == 0
-    assert built <= 2.5 * size, f"the structure took {built / size:.2f}x the joint"
+    assert built <= 1.5 * size, f"the structure took {built / size:.2f}x the joint"
     assert command <= 0.75 * size, f"the command took {command / size:.2f}x the joint"
 
 
@@ -1022,6 +1093,22 @@ class TestCommands:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_measure_prices_an_underflowing_product(tmp_path, capsys):
+    # P(x|z)P(y|z) = 1e-600 is 0 in float64 under the cell of mass 1e-300:
+    # I(X;Y|Z) is 1e-300 log 1e300 and the sup-order I^Z is log 1e300
+    doc = {**base_doc(), "z_labels": ["0"], "probs": [1e-300, 0, 0, 1]}
+    path = write_doc(tmp_path, doc)
+    assert main(["measure", "--input", path, "--alpha", "one", "--alpha", "inf"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = dict(
+        ((op, a), v) for op, a, v in (l.split("\t") for l in out.splitlines() if "\t" in l)
+    )
+    for op in ("sibson_mi", "cond_sibson_z", "cond_sibson_ygz"):
+        assert rows[op, "one"] == fmt(1e-300 * math.log(1e300))
+    assert rows["cond_sibson_z", "inf"] == fmt(math.log(1e300))
 
 def test_cli_import_leaves_scipy_out():
     code = (

@@ -395,7 +395,8 @@ def test_slice_scan_matches_full_grid_argmin(monkeypatch, dim, scan_points):
 
 def test_large_grid_scan_peak_memory():
     # the 501,501 x 3 grid of step 1e-3 alone takes 12 MB; scanned in
-    # slices of _SCAN_POINTS points the whole minimisation stays far below
+    # slices of a quarter of _SCAN_POINTS points the whole minimisation
+    # stays far below
     target = np.array([0.2, 0.3, 0.5])
     tracemalloc.start()
     try:

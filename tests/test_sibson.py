@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import copy_joint, independent_joint2
+from conftest import copy_joint, independent_joint2, sibson_mi_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,6 @@ from sibsonmi.oracles import (
     cond_ygz_oracle,
     cond_z_oracle,
     min_weighted_radius,
-    sibson_mi_oracle,
     simplex_grid,
 )
 import sibsonmi.sibson as sibson
@@ -93,6 +92,54 @@ class TestSibsonMi:
             for a in (0.5, 1.5, 2.0, 4.0):
                 val, _ = sibson_mi_oracle(j, a)
                 assert abs(val - sibson_mi(j, a).value_nats) <= 1e-5
+
+
+def _underflow_joint():
+    # z = "0" puts 1e-300 on (0, 0), where P(x|z)P(y|z) = 1e-600 is 0 in
+    # float64; z = "1" is an ordinary slice
+    p = np.zeros((2, 2, 2))
+    p[:, :, 0] = [[1e-300, 0.0], [0.0, 0.5]]
+    p[:, :, 1] = [[0.2, 0.1], [0.05, 0.15]]
+    return Joint3(("0", "1"), ("0", "1"), ("0", "1"), p)
+
+
+def _log_ratios(j):
+    """Per-z lists of (P(x,y|z), log of P(x,y|z)/(P(x|z)P(y|z))) over
+    the support, every log-ratio taken from logs."""
+    out = []
+    for z in range(j.shape[2]):
+        c = j.probs[:, :, z] / j.probs[:, :, z].sum()
+        cx, cy = c.sum(axis=1), c.sum(axis=0)
+        out.append([
+            (c[x, y], math.log(c[x, y]) - math.log(cx[x]) - math.log(cy[y]))
+            for x in range(2) for y in range(2) if c[x, y] > 0
+        ])
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestUnderflowingProduct:
+    def test_order_one(self):
+        j = _underflow_joint()
+        pz = j.marginal_z().probs
+        want = math.fsum(
+            pz[z] * c * lr for z, cells in enumerate(_log_ratios(j)) for c, lr in cells
+        )
+        assert conditional_mi(j) == pytest.approx(want, rel=1e-12)
+        for f in (cond_sibson_z, cond_sibson_ygz):
+            assert f(j, Alpha.ONE).value_nats == pytest.approx(want, rel=1e-12)
+
+    def test_shannon(self):
+        jxy = Joint2(("0", "1"), ("0", "1"), [[1e-300, 0.0], [0.0, 1.0]])
+        assert shannon_mi(jxy) == pytest.approx(1e-300 * math.log(1e300), rel=1e-12)
+
+    def test_sup_order(self):
+        j = _underflow_joint()
+        pz = j.marginal_z().probs
+        top = [max(math.exp(lr) for _, lr in cells) for cells in _log_ratios(j)]
+        rep = cond_sibson_z(j, Alpha.INFINITY)
+        assert rep.value_nats == pytest.approx(math.log(pz @ top), rel=1e-12)
+        assert rep.optimizer.probs == pytest.approx(pz * top / (pz @ top), rel=1e-12)
 
 
 class TestMaximalLeakage:
