@@ -73,8 +73,8 @@ comparisons are exact string comparisons, for example
 
 REQUIRED_FIELDS = ("x_labels", "y_labels", "z_labels", "probs")
 LOAD_MASS_TOL = 1e-9
-# bytes read per call, and characters of ``probs`` decoded per json.loads
-# call (a piece ends at a comma)
+# bytes read per call; each read's ``probs`` elements up to its last comma
+# are decoded in one json.loads call
 _SLICE_CHARS = 1 << 16
 _JSON_WS = re.compile(r"[ \t\n\r]*")
 _PROBS_KEY = re.compile(rb'"probs"[ \t\n\r]*:[ \t\n\r]*\[')
@@ -95,9 +95,11 @@ def load_joint(path: str) -> tuple[Joint3, str]:
     array without a copy and is normalised in place, and only the bytes
     around it become text. So peak memory is that array plus the joint's
     own copy of it. Any other file is read again from the start of the same
-    handle, decoded and parsed whole, which gives every file the same
-    joint or the same message as one ``json.load``. An input that cannot
-    seek (a pipe) is read whole first.
+    handle and parsed whole by one ``json.loads``, which holds one Python
+    float per entry; no ``save_joint`` file takes this path. Either way
+    every file gives the same joint or the same message as one
+    ``json.load``. An input that cannot seek (a pipe) is read whole
+    first.
 
     A file that is not UTF-8 JSON, non-finite, negative and out-of-float-
     range entries, and total mass off 1 by more than 1e-9 are rejected as
@@ -127,11 +129,7 @@ def load_joint(path: str) -> tuple[Joint3, str]:
         # validated, normalised and copied: alive, they would overlap
         # those copies and raise peak memory
         del raw
-        try:
-            fields = _walk_fields(text)
-        except (ValueError, OverflowError, RecursionError):
-            fields = None
-        fields = fields or _read_whole(path, text)
+        fields = _read_whole(path, text)
         del text
     labels, probs = fields
     nx, ny, nz = map(len, labels)
@@ -139,7 +137,7 @@ def load_joint(path: str) -> tuple[Joint3, str]:
         raise InputFormatError(
             f"{path}: probs has {len(probs)} entries, expected {nx * ny * nz}"
         )
-    try:  # no copy of the streamed or walked array; only a list can overflow
+    try:  # no copy of the streamed array; only a list can overflow
         arr = np.asarray(probs, dtype=float)
     except OverflowError:
         for i, v in enumerate(probs):
@@ -172,16 +170,17 @@ def load_joint(path: str) -> tuple[Joint3, str]:
 
 
 def _stream_fields(fh, sha):
-    """``_walk_fields`` of the document read from ``fh``, with its
-    ``probs`` array decoded from the bytes as they stream past and only
-    the bytes around the array decoded to text; None for a document the
-    stream does not cover exactly (no ``"probs": [`` in the bytes, a
-    match that is not the one ``probs`` value the walker reads, or
-    anything the walker rejects). Every chunk read goes into ``sha``.
+    """``(labels, probs array)`` of the document read from ``fh``, with
+    its ``probs`` array decoded from the bytes as they stream past and
+    only the bytes around the array decoded to text; None for a document
+    the stream does not cover exactly (no ``"probs": [`` in the bytes, a
+    match that is not the one ``probs`` value of the document, or
+    anything ``_walk_fields`` rejects). Every chunk read goes into
+    ``sha``.
 
-    The array ends at its first ``]`` and its commas are single bytes, as
-    in the decoded text, so the walk sees what it sees on the whole
-    text."""
+    The array ends at its first ``]`` and its commas are single bytes,
+    as in the decoded text, so the pieces decoded between commas are
+    the elements ``json.loads`` reads."""
 
     def read():
         chunk = fh.read(_SLICE_CHARS)
@@ -202,8 +201,8 @@ def _stream_fields(fh, sha):
             if not chunk:
                 return None
             head += chunk
-        # the text keeps the opening bracket, where the walker must come
-        # to read probs
+        # the text keeps the opening bracket, where the walk must come to
+        # the probs value
         text = head[:m.end()].decode("utf-8")
         body = bytes(head[m.end():])
         del head
@@ -221,15 +220,8 @@ def _stream_fields(fh, sha):
         rest = [body[end + 1:]]
         while chunk := read():
             rest.append(chunk)
-
-        def probs_at_cut(outside, pos):
-            # a probs key anywhere else (a repeat, or a match that is not
-            # the value) leaves the file to the whole-text path
-            if pos != len(text) - 1:
-                raise ValueError("probs is not the array cut from the bytes")
-            return np.frombuffer(probs), len(text)
-
-        return _walk_fields(text + b"".join(rest).decode("utf-8"), probs_at_cut)
+        labels = _walk_fields(text + b"".join(rest).decode("utf-8"), len(text) - 1)
+        return labels, np.frombuffer(probs)
     except (ValueError, OverflowError, RecursionError):
         return None
 
@@ -242,15 +234,14 @@ def _skip_to(text: str, pos: int, char: str) -> int:
     return pos + 1
 
 
-def _walk_fields(text: str, decode_probs=None):
-    """``(labels, probs array)`` of a well-formed document: the required
-    fields and no other (a repeated one keeps its last value), labels
-    arrays of strings, ``probs`` flat numbers in the float range. Anything
-    else raises, and is left to ``_read_whole``. ``\\r`` may stay
-    untranslated: JSON takes it as whitespace and rejects it in strings.
-    ``decode_probs(text, pos)`` reads the ``probs`` value (by default
-    ``_decode_probs``)."""
-    decode_probs = decode_probs or _decode_probs
+def _walk_fields(text: str, cut: int):
+    """The labels of a well-formed document whose ``probs`` array was cut
+    out of ``text`` after the ``[`` at ``cut``: the required fields and
+    no other (a repeated label field keeps its last value), labels arrays
+    of strings, and ``probs`` the one value at ``cut``. Anything else (a
+    repeated or escaped ``probs`` key among them) raises, and leaves the
+    file to ``_read_whole``. ``\\r`` may stay untranslated: JSON takes it
+    as whitespace and rejects it in strings."""
     fields = {}
     pos = _skip_to(text, 0, "{")
     while len(fields) < len(REQUIRED_FIELDS):
@@ -260,8 +251,12 @@ def _walk_fields(text: str, decode_probs=None):
         if key not in REQUIRED_FIELDS:
             raise ValueError(f"unknown field {key!r}")
         pos = _JSON_WS.match(text, _skip_to(text, pos, ":")).end()
-        decode = decode_probs if key == "probs" else _DECODER.raw_decode
-        fields[key], pos = decode(text, pos)
+        if key != "probs":
+            fields[key], pos = _DECODER.raw_decode(text, pos)
+        elif pos != cut:
+            raise ValueError("probs is not the array cut from the bytes")
+        else:
+            fields[key], pos = None, cut + 1
     pos = _skip_to(text, pos, "}")
     if _JSON_WS.match(text, pos).end() != len(text):
         raise ValueError("data after the top-level object")
@@ -269,37 +264,20 @@ def _walk_fields(text: str, decode_probs=None):
     for vals in labels:
         if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
             raise ValueError("labels must be arrays of strings")
-    return tuple(map(tuple, labels)), fields["probs"]
+    return tuple(map(tuple, labels))
 
 
-def _decode_probs(text: str, pos: int):
-    """Decode the flat number array at ``pos`` into one float64 array;
-    return it and the index past its closing bracket."""
-    lo = _skip_to(text, pos, "[")
-    end = text.find("]", lo)
-    if end < 0:
-        raise ValueError("unterminated probs array")
-    probs = bytearray()
-    while (hi := text.find(",", min(lo + _SLICE_CHARS, end), end)) >= 0:
-        _decode_piece(text[lo:hi], probs)
-        lo = hi + 1
-    _decode_piece(text[lo:end], probs)
-    return np.frombuffer(probs), end + 1
-
-
-def _decode_piece(piece, probs: bytearray) -> None:
+def _decode_piece(piece: bytes, probs: bytearray) -> None:
     """Append the numbers of ``piece``, one or more comma-separated
-    elements of a flat array, as a str or as UTF-8 bytes, to ``probs``
-    as float64 bytes.
+    elements of a flat array in UTF-8 bytes, to ``probs`` as float64
+    bytes.
 
     The array ends at its first ``]``: a string or nested array inside
     it leaves a piece that does not parse or holds a non-number. A piece
     with no element (an empty array or element), bytes that are not
     UTF-8 and an integer past the float range raise too.
     """
-    if not isinstance(piece, str):
-        piece = str(piece, "utf-8")
-    values = json.loads("[" + piece + "]")
+    values = json.loads("[" + str(piece, "utf-8") + "]")
     if not values or not set(map(type, values)) <= {int, float}:
         raise ValueError("probs has an empty element or a non-number")
     probs += np.array(values, dtype=float).tobytes()

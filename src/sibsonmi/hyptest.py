@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .oracles import simplex_grid
-from .sibson import cond_sibson_z, cond_sibson_z_values
+from .sibson import _ratio_block, cond_sibson_z, cond_sibson_z_values
 
 SCORE_QUANT = 1e-9  # scores are pooled on this lattice before convolution
 STATE_CAP = 10**6
@@ -66,10 +66,9 @@ def threshold_test(j: Joint3, tau: float, n: int) -> ThresholdTest:
         raise ValidationError(f"sample length must be >= 1, got {n}")
     if math.isnan(tau):
         raise ValidationError("threshold tau must be a number or +-inf, got nan")
-    _, _, cxy, cx, cy = j.conditionals_given_z()
-    pos = cxy > 0
-    by_z = np.full(cxy.shape, -math.inf)
-    by_z[pos] = np.log(cxy[pos] / (cx[:, :, None] * cy[:, None, :])[pos])
+    s = j._z_structure()
+    by_z = _ratio_block(s, slice(None), log=True)
+    by_z[s.cxy == 0] = -math.inf
     scores = np.ascontiguousarray(np.moveaxis(by_z, 0, 2))
     scores.flags.writeable = False
     return ThresholdTest(scores=scores, tau=float(tau), n=int(n))

@@ -27,9 +27,9 @@ _POLISH_PASSES = 12
 # shrinks 16x per round and 16^10 ~ 1e12-fold over a search
 _LINE_POINTS = 33
 _LINE_ROUNDS = 10
-# the grid scan prices at most this many points per objective call:
-# whole grids of several problems, or slices of one large grid, so the
-# objective's temporaries stay bounded however many problems or points
+# the grid scan prices at most this many points per objective call: one
+# grid slice for as many problems as fit, so the objective's temporaries
+# stay bounded however many problems or points
 _SCAN_POINTS = 1 << 16
 
 
@@ -93,13 +93,17 @@ def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
 def _grid_slices(dim: int, m: int, cap: int, head=()):
     """The rows of ``simplex_grid(dim, 1/m)`` in order, as consecutive
     slices of at most ``cap`` points (the lattice points with leading
-    coordinates ``head`` when given).
+    coordinates ``head`` when given); a grid of at most ``cap`` points
+    is one slice, and the one-point grid of dim 1 is ``[[1.0]]``.
 
     A slice is a run of values of the next coordinate whose points fit
     the cap together; a value whose points alone pass it is split on
     the coordinate after.  Integer coordinates over m are bit-identical
     to the whole grid's rows.
     """
+    if dim == 1:
+        yield np.ones((1, 1))
+        return
     left, rest = m - sum(head), dim - len(head)
     counts = [math.comb(left - v + rest - 2, rest - 2) for v in range(left + 1)]
     v = 0
@@ -163,9 +167,11 @@ def minimize_on_simplexes(
     takes exactly the steps of its own ``minimize_on_simplex`` run, so
     its argmin and value are bit-identical to that run's:
 
-    - the grid scan prices every problem on the whole grid, at most
-      ``_SCAN_POINTS`` points per call (a larger grid in lattice slices,
-      never built whole), and keeps each row's first minimum;
+    - the grid scan reads the grid in lattice slices of at most a
+      quarter of ``_SCAN_POINTS`` points (a small grid is one slice; no
+      grid is built whole), prices each slice for as many problems per
+      call as fit in ``_SCAN_POINTS`` points, and keeps each row's first
+      minimum, NaN winning as in ``np.argmin``;
     - each coordinate pair's line search runs only on the live rows
       whose window is at least 1e-15 wide, each row narrowing its own
       bracket;
@@ -176,11 +182,7 @@ def minimize_on_simplexes(
 
     Returns ``(argmins, values)``, arrays of shapes (n, dim) and (n,).
     """
-    m, points = _lattice_size(dim, step)
-    if points > _SCAN_POINTS:
-        q, fq = _scan_slices(f_stack, n, dim, m)
-    else:
-        q, fq = _scan_whole(f_stack, n, simplex_grid(dim, step))
+    q, fq = _scan(f_stack, n, dim, _lattice_size(dim, step)[0])
     if dim == 1:
         return q, fq
     window = 2.0 * step
@@ -214,34 +216,32 @@ def minimize_on_simplexes(
     return q, fq
 
 
-def _scan_whole(f_stack, n: int, grid: np.ndarray):
-    """Each problem's first grid minimum over a grid of at most
-    ``_SCAN_POINTS`` points, pricing as many problems per call as fit."""
-    vals = np.empty((n, len(grid)))
-    per_call = max(1, _SCAN_POINTS // len(grid))
-    for first in range(0, n, per_call):
-        rows = np.arange(first, min(first + per_call, n))
-        vals[rows] = f_stack(rows, np.broadcast_to(grid, (len(rows), *grid.shape)))
-    best = np.argmin(vals, axis=1)
-    return grid[best], vals[np.arange(n), best]
+def _scan(f_stack, n: int, dim: int, m: int):
+    """Each problem's first minimum on the grid of lattice denominator m;
+    NaN wins, as in ``np.argmin``.
 
-
-def _scan_slices(f_stack, n: int, dim: int, m: int):
-    """Each problem's first grid minimum over a grid too large to price
-    whole, slice by slice; NaN wins as in ``np.argmin``."""
+    The grid comes in slices of at most a quarter of ``_SCAN_POINTS``
+    points, and each slice is priced for as many problems per call as
+    fit in ``_SCAN_POINTS``.  At the whole cap, the temporaries of one
+    slice of the 501,501-point grid of three coordinates (1.5 MB an
+    array) could outgrow the heap that earlier work had left free, and
+    whether they did depended on that heap's layout, which moved the
+    peak RSS of a selftest run by about 1 MB with the environment size.
+    """
     q, fq = np.empty((n, dim)), np.empty(n)
-    # slices of a quarter of the cap: at the whole cap, the temporaries of
-    # one slice of the 501,501-point grid of three coordinates (1.5 MB an
-    # array) could outgrow the heap that earlier work had left free, and
-    # whether they did depended on that heap's layout, which moved the
-    # peak RSS of a selftest run by about 1 MB with the environment size
     for s, points in enumerate(_grid_slices(dim, m, max(1, _SCAN_POINTS // 4))):
-        for r in range(n):
-            vals = np.asarray(f_stack(np.array([r]), points[None]), dtype=float)[0]
-            k = int(np.argmin(vals))
-            if s == 0 or (not math.isnan(fq[r])
-                          and (math.isnan(vals[k]) or vals[k] < fq[r])):
-                q[r], fq[r] = points[k], vals[k]
+        per_call = max(1, _SCAN_POINTS // len(points))
+        for first in range(0, n, per_call):
+            rows = np.arange(first, min(first + per_call, n))
+            grids = np.broadcast_to(points, (len(rows), *points.shape))
+            vals = np.asarray(f_stack(rows, grids), dtype=float)
+            k = np.argmin(vals, axis=1)
+            vk = vals[np.arange(len(rows)), k]
+            if s:
+                old = fq[rows]
+                take = ~np.isnan(old) & (np.isnan(vk) | (vk < old))
+                rows, k, vk = rows[take], k[take], vk[take]
+            q[rows], fq[rows] = points[k], vk
     return q, fq
 
 
@@ -259,11 +259,11 @@ def minimize_on_simplex(
     final digits: at most ``_POLISH_PASSES`` sweeps over the pairs, each
     move within two grid steps of the current point.  This is the
     one-problem call of ``minimize_on_simplexes``: ``f_batch`` is called
-    once for the grid scan (once per lattice slice of at most
-    ``_SCAN_POINTS`` points of a larger grid), once per line-search round (``_LINE_ROUNDS`` per search) and
-    once more to re-price an accepted move.  It must price each point
-    on its own, as every oracle objective does, and leave its input
-    unchanged.
+    once per lattice slice of the grid scan (one slice for a grid of at
+    most a quarter of ``_SCAN_POINTS`` points), once per line-search
+    round (``_LINE_ROUNDS`` per search) and once more to re-price an
+    accepted move.  It must price each point on its own, as every
+    oracle objective does, and leave its input unchanged.
     """
     q, fq = minimize_on_simplexes(
         lambda rows, qs: np.asarray(f_batch(qs[0]), dtype=float)[None, :],

@@ -15,8 +15,9 @@ the literal ratio, so log(eta)/(a-1) <= 0 and they test plain data
 processing made stricter by the search shortfall 1 - eta.  A pass
 certifies the inequality on the instance; a failure can be that
 shortfall rather than a violated inequality (``sdpi.unconditional_chain``
-in the selftest battery fails this way at seeds 8, 26, 92, 202 and
-400).
+in the selftest battery fails this way at 16 of the seeds 0-299: 8, 26,
+92, 123, 133, 141, 150, 157, 173, 199, 202, 214, 232, 261, 276 and 298,
+and at 400; its mend is direction 1 of the repository's ROADMAP.md).
 """
 
 from __future__ import annotations

@@ -415,14 +415,17 @@ def _write_probs_body(tmp_path, shape, body):
 
 
 def _walked(path):
-    """The walker's ``(labels, probs)`` on the file's decoded text, or None
-    where ``load_joint`` falls back to the whole-document parse."""
+    """The stream's ``(labels, probs)`` on the file's bytes, or None where
+    ``load_joint`` falls back to the whole-document parse."""
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    try:
-        return cli._walk_fields(text)
-    except (ValueError, OverflowError, RecursionError):
-        return None
+        return cli._stream_fields(fh, hashlib.sha256())
+
+
+def _parsed(raw):
+    """``(labels, probs)`` of the document bytes by one ``json.loads``."""
+    doc = json.loads(raw.decode("utf-8"))
+    labels = tuple(tuple(doc[k]) for k in REQUIRED_FIELDS[:3])
+    return labels, np.array(doc["probs"], dtype=float)
 
 
 class TestProbsSlices:
@@ -445,7 +448,8 @@ class TestProbsSlices:
         assert _walked(path)[1].tolist() == [0.125] * 8
 
     def test_comma_at_slice_boundary(self, tmp_path, monkeypatch):
-        # every slice of 5 characters ends exactly on a comma
+        # reads of 5 bytes: the ones ending at bytes 94 and 124 of the file
+        # end exactly on a comma of the array
         monkeypatch.setattr(cli, "_SLICE_CHARS", len("0.125"))
         path = _write_probs_body(tmp_path, (2, 2, 2), ",".join(["0.125"] * 8))
         _assert_loaders_agree(path)
@@ -473,7 +477,7 @@ _SPLIT_SPACE = st.sampled_from(["", " ", "\t", "\r\n", "\r\n\t ", "\n"])
 def _split_documents(draw):
     """``(document bytes, defect)``: a distribution with tricky labels,
     ``probs`` at any position, CRLF and tab whitespace, and maybe one
-    defect the stream must leave to the whole-text path."""
+    defect the stream must leave to the whole-document parse."""
     shape = [draw(st.integers(1, 3)) for _ in range(3)]
     cells = math.prod(shape)
     k = draw(st.sampled_from([s for s in _SHARE if s <= cells]))
@@ -484,7 +488,7 @@ def _split_documents(draw):
     ]
     defect = draw(st.sampled_from(
         ["repeat", "byte-in", "byte-out", "big-int", "empty", "non-number",
-         "nested-key", "bom"] + ["none"] * 8
+         "nested-key", "escaped-key", "bom"] + ["none"] * 8
     ))
     if defect == "byte-in":
         i = draw(st.integers(0, cells - 1))
@@ -505,7 +509,8 @@ def _split_documents(draw):
             st.sampled_from(_SPLIT_LABELS) | st.text(max_size=2),
             min_size=n, max_size=n, unique=True,
         ))
-        fields.append((name, json.dumps(labels, ensure_ascii=draw(st.booleans())).encode()))
+        fields.append((json.dumps(name).encode(),
+                       json.dumps(labels, ensure_ascii=draw(st.booleans())).encode()))
     if defect == "byte-out":
         i = draw(st.integers(0, 2))
         fields[i] = (fields[i][0], b'["\xe9"' + fields[i][1][1:])
@@ -513,12 +518,14 @@ def _split_documents(draw):
         # a "probs": [ match inside a label field, ahead of the real one
         i = draw(st.integers(0, 2))
         fields[i] = (fields[i][0], b'{"probs": [1]}')
-    fields.insert(draw(st.integers(0, 3)), ("probs", b"[" + body + b"]"))
+    # an escaped key is the same "probs" to JSON, but not to the key match
+    probs_key = b'"prob\\u0073"' if defect == "escaped-key" else b'"probs"'
+    fields.insert(draw(st.integers(0, 3)), (probs_key, b"[" + body + b"]"))
     if defect == "repeat":
         again = draw(st.sampled_from([b"[" + body + b"]", b"null", b"[1]"]))
-        fields.insert(draw(st.integers(0, 4)), ("probs", again))
+        fields.insert(draw(st.integers(0, 4)), (b'"probs"', again))
     raw = space() + b"{" + b",".join(
-        space() + json.dumps(key).encode() + space() + b":" + space() + value
+        space() + key + space() + b":" + space() + value
         + space() for key, value in fields
     ) + b"}" + space()
     if defect == "bom":
@@ -529,8 +536,8 @@ def _split_documents(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=_split_documents(), read_size=st.sampled_from([1, 4, 1 << 16]))
 def test_stream_matches_whole_text_reader(doc, read_size):
-    # clean documents stream to the walker's fields and the file's digest;
-    # every defect leaves the stream to the whole-text path
+    # clean documents stream to json.loads's fields and the file's digest;
+    # every defect leaves the stream to the whole-document parse
     raw, defect = doc
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
@@ -541,9 +548,9 @@ def test_stream_matches_whole_text_reader(doc, read_size):
             sha = hashlib.sha256()
             streamed = cli._stream_fields(io.BytesIO(raw), sha)
             if defect == "none":
-                walked = cli._walk_fields(raw.decode("utf-8"))
-                assert streamed[0] == walked[0]
-                assert streamed[1].tobytes() == walked[1].tobytes()
+                parsed = _parsed(raw)
+                assert streamed[0] == parsed[0]
+                assert streamed[1].tobytes() == parsed[1].tobytes()
                 assert sha.hexdigest() == hashlib.sha256(raw).hexdigest()
             else:
                 assert streamed is None
@@ -558,9 +565,9 @@ def test_stream_finds_a_key_spread_over_many_reads(read_size, monkeypatch):
     text = json.dumps(doc).replace('"probs": [', '"probs"' + " " * 40 + ":\r\n\t [")
     raw = text.encode()
     streamed = cli._stream_fields(io.BytesIO(raw), hashlib.sha256())
-    walked = cli._walk_fields(text)
-    assert streamed[0] == walked[0]
-    assert streamed[1].tobytes() == walked[1].tobytes()
+    parsed = _parsed(raw)
+    assert streamed[0] == parsed[0]
+    assert streamed[1].tobytes() == parsed[1].tobytes()
 
 
 # --- one read of the input per invocation ---------------------------------
@@ -575,7 +582,7 @@ _FILE_COMMANDS = [
 
 
 def _fallback_doc(tmp_path):
-    """A file the walker rejects (an earlier ``probs`` that is not an
+    """A file the stream leaves (an earlier ``probs`` that is not an
     array) but the whole-document parse accepts (the last one counts)."""
     path = tmp_path / "repeat.json"
     path.write_text('{"probs": null, ' + json.dumps(base_doc())[1:])
@@ -1109,6 +1116,18 @@ def test_measure_prices_an_underflowing_product(tmp_path, capsys):
     for op in ("sibson_mi", "cond_sibson_z", "cond_sibson_ygz"):
         assert rows[op, "one"] == fmt(1e-300 * math.log(1e300))
     assert rows["cond_sibson_z", "inf"] == fmt(math.log(1e300))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_scores_an_underflowing_product(tmp_path, capsys):
+    # the same cell scores log(1e-300 / 1e-600) = log 1e300, which is
+    # finite: the null keeps its mass on its own support
+    doc = {**base_doc(), "z_labels": ["0"], "probs": [1e-300, 0, 0, 1]}
+    path = write_doc(tmp_path, doc)
+    argv = ["simulate", "--input", path, "--n", "2", "--tau", "0.5", "--alpha", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
 
 def test_cli_import_leaves_scipy_out():
     code = (

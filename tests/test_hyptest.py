@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sibsonmi.core import Alpha, Joint3
@@ -91,6 +91,33 @@ class TestThresholdTest:
             j = random_joint3(rng, (2, 2, 2), zero_cells=int(rng.integers(0, 3)))
             t = threshold_test(j, 0.3, 2)
             assert np.all(np.isfinite(t.scores[j.probs > 0]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(*[st.integers(1, 4)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.integers(0, 8),
+        concentration=st.sampled_from([0.1, 1.0, 5.0]),
+    )
+    def test_score_table_matches_the_plain_log_ratio(self, shape, seed, zeros, concentration):
+        # where no P(x|z) P(y|z) underflows under a positive P(x,y|z), the
+        # table is log(P(x,y|z) / (P(x|z) P(y|z))) bit for bit, -inf off it
+        j = random_joint3(np.random.default_rng(seed), shape, zeros, concentration)
+        _, _, cxy, cx, cy = j.conditionals_given_z()
+        pos = cxy > 0
+        prod = cx[:, :, None] * cy[:, None, :]
+        assume(np.all(prod[pos] > 0))
+        by_z = np.full(cxy.shape, -math.inf)
+        by_z[pos] = np.log(cxy[pos] / prod[pos])
+        assert threshold_test(j, 0.3, 2).scores.tobytes() == np.moveaxis(by_z, 0, 2).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_where_the_product_underflows(self):
+        # P(x|z) P(y|z) = 1e-600 is 0 in float64 under the cell of mass 1e-300
+        j = Joint3(["0", "1"], ["0", "1"], ["0"], np.array([1e-300, 0, 0, 1]).reshape(2, 2, 1))
+        t = threshold_test(j, 0.5, 2)
+        assert t.scores[0, 0, 0] == math.log(1e-300) - 2 * math.log(1e-300)
+        assert t.scores[1, 1, 0] == 0.0
 
     def test_rejects_bad_n(self, ref):
         with pytest.raises(ValidationError):

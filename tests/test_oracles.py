@@ -365,7 +365,7 @@ def test_batched_oracles_reject_mixed_shapes_and_empty_lists(batched):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_slice_scan_matches_full_grid_argmin(monkeypatch, dim, scan_points):
     # ties and NaN included: each row keeps np.argmin's first minimum, or
-    # its first NaN; the one-point grid of dim 1 is never sliced
+    # its first NaN; the one-point grid of dim 1 is one slice
     step = {1: 0.5, 2: 0.05, 3: 0.1, 4: 0.2, 5: 0.25, 6: 0.5}[dim]
     grid = simplex_grid(dim, step)
     rng = np.random.default_rng(dim)
@@ -382,11 +382,7 @@ def test_slice_scan_matches_full_grid_argmin(monkeypatch, dim, scan_points):
         return vals
 
     monkeypatch.setattr(oracles, "_SCAN_POINTS", scan_points)
-    m = round(1 / step)
-    if len(grid) > scan_points:
-        q, fq = oracles._scan_slices(f_stack, 4, dim, m)
-    else:
-        q, fq = oracles._scan_whole(f_stack, 4, grid)
+    q, fq = oracles._scan(f_stack, 4, dim, round(1 / step))
     whole = f_stack(np.arange(4), np.broadcast_to(grid, (4, *grid.shape)))
     best = np.argmin(whole, axis=1)
     assert q.tobytes() == grid[best].tobytes()
