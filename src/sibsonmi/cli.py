@@ -92,14 +92,15 @@ def load_joint(path: str) -> tuple[Joint3, str]:
     whole and never holds one Python float per probability: the
     ``probs`` array is decoded as it streams past, in comma-aligned
     pieces, into one growable buffer of float64 bytes that becomes the
-    array without a copy and is normalised in place, and only the bytes
-    around it become text. So peak memory is that array plus the joint's
-    own copy of it. Any other file is read again from the start of the same
-    handle and parsed whole by one ``json.loads``, which holds one Python
-    float per entry; no ``save_joint`` file takes this path. Either way
-    every file gives the same joint or the same message as one
-    ``json.load``. An input that cannot seek (a pipe) is read whole
-    first.
+    array without a copy, is normalised in place and is handed to the
+    joint as its read-only ``probs``, again without a copy; only the
+    bytes around it become text. So peak memory is that one array, with
+    the slack the buffer grows by. Any other file is read again from the
+    start of the same handle and parsed whole by one ``json.loads``,
+    which holds one Python float per entry; no ``save_joint`` file takes
+    this path. Either way every file gives the same joint or the same
+    message as one ``json.load``. An input that cannot seek (a pipe) is
+    read whole first.
 
     A file that is not UTF-8 JSON, non-finite, negative and out-of-float-
     range entries, and total mass off 1 by more than 1e-9 are rejected as
@@ -165,8 +166,10 @@ def load_joint(path: str) -> tuple[Joint3, str]:
             f"{path}: total mass {total!r} deviates from 1 by more than "
             f"{LOAD_MASS_TOL}"
         )
-    arr /= total  # this call's own array: the decoded buffer, or a list's copy
-    return Joint3(*labels, arr.reshape(nx, ny, nz)), digest
+    # this call's own array, the decoded buffer or a list's copy, becomes
+    # the joint's without a copy
+    arr /= total
+    return Joint3(*labels, arr.reshape(nx, ny, nz), _copy=False), digest
 
 
 def _stream_fields(fh, sha):

@@ -64,17 +64,18 @@ def _check_mass(probs: np.ndarray, what: str) -> None:
         )
 
 
-def _labelled_probs(probs, *axes) -> tuple:
+def _labelled_probs(probs, *axes, copy: bool = True) -> tuple:
     """Validate a probability array against its labelled axes.
 
     ``axes`` holds one ``(name, labels)`` pair per array axis, ``name``
     being what error messages call the labels.  Returns the checked
     label tuples followed by one read-only float64 copy of ``probs``
-    (a pmf for one axis, a joint pmf for more).
+    (a pmf for one axis, a joint pmf for more); without ``copy``,
+    ``probs`` must be a float64 array and is itself checked and frozen.
     """
     labels = [_check_labels(symbols, name) for name, symbols in axes]
     shape = tuple(map(len, labels))
-    p = np.array(probs, dtype=float)
+    p = np.array(probs, dtype=float) if copy else probs
     if p.shape != shape:
         raise ShapeMismatchError(
             f"pmf needs {shape[0]} entries, got shape {p.shape}"
@@ -297,44 +298,87 @@ def _log(a: np.ndarray, fill: float = -math.inf) -> np.ndarray:
     return out
 
 
+# the largest block of P(x,y|z), in cells, the structure given z derives
+# at once; a joint with more cells is taken one block of z symbols at a time
+_BLOCK_CELLS = 1 << 16
+
+
+def _z_blocks(shape, cells: int) -> list:
+    """Slices of the z axis of a joint of ``shape`` of at most ``cells``
+    cells each (one z at least, and one slice when the whole joint fits)."""
+    nx, ny, nz = shape
+    step = max(1, cells // (nx * ny))
+    return [slice(lo, lo + step) for lo in range(0, nz, step)]
+
+
 class _GivenZ:
     """Read-only conditional structure of a joint given each z symbol.
 
-    The arrays of ``Joint3.conditionals_given_z`` plus the logs of
-    ``pz``, ``cx`` and ``cy``: one joint-sized array, ``cxy``, whose log
-    each kernel takes per z-block (``_log(cxy[b])``), so a joint costs
-    one copy here, not two. Zero masses have ``lpz`` -inf but ``lcx``
-    and ``lcy`` 0, so a term weighting ``_log(cxy)`` by a positive order
-    is -inf off the support of P(.,.|z) and never NaN.
+    It holds no joint-sized array of its own: ``probs`` is the joint's
+    array, and ``cxy_block(b)`` derives P(.,.|z) for a block ``b`` of z
+    symbols on demand, so a joint costs one array, not two. ``pz``,
+    ``reach``, ``cx`` and ``cy`` are the other arrays of
+    ``Joint3.conditionals_given_z``, ``cx`` and ``cy`` summed one block of
+    ``_BLOCK_CELLS`` cells at a time; ``lpz``, ``lcx`` and ``lcy`` their
+    logs. Zero masses have ``lpz`` -inf but ``lcx`` and ``lcy`` 0, so a
+    term weighting ``_log(cxy)`` by a positive order is -inf off the
+    support of P(.,.|z) and never NaN.
+
+    The rest is filled on first use and kept: ``cxy``, the whole
+    P(.,.|z) of ``conditionals_given_z``; ``cmi``, I(X;Y|Z); and
+    ``leakage``, the sup-order leakage parts of ``sibson``.
     """
 
-    __slots__ = ("pz", "reach", "cxy", "cx", "cy", "lpz", "lcx", "lcy")
+    __slots__ = ("probs", "pz", "reach", "cx", "cy", "lpz", "lcx", "lcy",
+                 "cxy", "cmi", "leakage")
 
     def __init__(self, probs: np.ndarray):
         pz = probs.sum(axis=(0, 1))
-        reach = pz > 0
         nx, ny, nz = probs.shape
-        cxy = np.zeros((nz, nx, ny))
-        np.divide(np.moveaxis(probs, 2, 0), pz[:, None, None], out=cxy,
-                  where=reach[:, None, None])
-        cx = cxy.sum(axis=2)
-        cy = cxy.sum(axis=1)
-        self.pz, self.reach, self.cxy, self.cx, self.cy = pz, reach, cxy, cx, cy
+        self.probs, self.pz, self.reach = probs, pz, pz > 0
+        cx, cy = np.empty((nz, nx)), np.empty((nz, ny))
+        for b in self.blocks():
+            cxy = self.cxy_block(b)
+            cx[b], cy[b] = cxy.sum(axis=2), cxy.sum(axis=1)
+            del cxy  # one block alive at a time
+        self.cx, self.cy = cx, cy
         self.lpz = _log(pz)
         self.lcx, self.lcy = _log(cx, 0.0), _log(cy, 0.0)
-        for name in self.__slots__:
+        for name in ("pz", "reach", "cx", "cy", "lpz", "lcx", "lcy"):
             getattr(self, name).flags.writeable = False
+        self.cxy = self.cmi = self.leakage = None
+
+    def blocks(self) -> list:
+        """The z-blocks of ``_BLOCK_CELLS`` cells the structure is built in."""
+        return _z_blocks(self.probs.shape, _BLOCK_CELLS)
+
+    def cxy_block(self, b) -> np.ndarray:
+        """P(x,y|z) for the z symbols ``b`` (a slice or an index array) as
+        a new z-major (z, x, y) array, all zero for an unreachable z. Each
+        cell is the one quotient P(x,y,z) / P_Z(z), so a block has the bits
+        of the same rows of the whole array."""
+        p = np.moveaxis(self.probs[:, :, b], 2, 0)
+        out = np.zeros(p.shape)
+        np.divide(p, self.pz[b, None, None], out=out,
+                  where=self.reach[b, None, None])
+        return out
 
 
 class Joint3:
-    """Joint pmf over X x Y x Z, the carrier of every conditional measure."""
+    """Joint pmf over X x Y x Z, the carrier of every conditional measure.
+
+    The joint keeps a read-only copy of ``probs``. ``_copy=False`` is for
+    a caller that hands over a float64 array nothing else references, as
+    ``cli.load_joint`` does with its decoded buffer: the array is checked
+    as a copy would be and frozen, and becomes the joint's own.
+    """
 
     __slots__ = ("x_labels", "y_labels", "z_labels", "probs", "_given_z")
 
-    def __init__(self, x_labels, y_labels, z_labels, probs):
+    def __init__(self, x_labels, y_labels, z_labels, probs, *, _copy=True):
         self.x_labels, self.y_labels, self.z_labels, self.probs = _labelled_probs(
             probs, ("x_labels", x_labels), ("y_labels", y_labels),
-            ("z_labels", z_labels),
+            ("z_labels", z_labels), copy=_copy,
         )
         self._given_z = None
 
@@ -387,9 +431,16 @@ class Joint3:
         Returns ``(pz, reach, cxy, cx, cy)`` where ``cxy[z]`` is the
         conditional joint over (x, y) given z, ``cx``/``cy`` its
         marginals, and unreachable z have all-zero slices.  The arrays
-        are read-only and shared by every call on this joint.
+        are read-only and shared by every call on this joint.  The
+        measures themselves read the structure one z-block at a time, so
+        the whole ``cxy``, a second joint-sized array, is built only
+        here, on the first call, and then kept.
         """
         s = self._z_structure()
+        if s.cxy is None:
+            cxy = s.cxy_block(slice(None))
+            cxy.flags.writeable = False
+            s.cxy = cxy
         return s.pz, s.reach, s.cxy, s.cx, s.cy
 
     def __repr__(self) -> str:
@@ -440,8 +491,8 @@ def conditional(j: Joint3, target: str, given: str) -> Kernel:
 
 def markov_product(j: Joint3) -> Joint3:
     """The product P_Z(z) P(x|z) P(y|z) built from j's own conditionals."""
-    pz, reach, _, cx, cy = j.conditionals_given_z()
-    probs = np.einsum("z,zx,zy->xyz", pz, cx, cy)
+    s = j._z_structure()
+    probs = np.einsum("z,zx,zy->xyz", s.pz, s.cx, s.cy)
     return Joint3(j.x_labels, j.y_labels, j.z_labels, probs)
 
 

@@ -67,9 +67,12 @@ def threshold_test(j: Joint3, tau: float, n: int) -> ThresholdTest:
     if math.isnan(tau):
         raise ValidationError("threshold tau must be a number or +-inf, got nan")
     s = j._z_structure()
-    by_z = _ratio_block(s, slice(None), log=True)
-    by_z[s.cxy == 0] = -math.inf
-    scores = np.ascontiguousarray(np.moveaxis(by_z, 0, 2))
+    scores = np.empty(j.shape)
+    for b in s.blocks():
+        cxy = s.cxy_block(b)
+        by_z = _ratio_block(s, b, cxy, log=True)
+        by_z[cxy == 0] = -math.inf
+        scores[:, :, b] = np.moveaxis(by_z, 0, 2)
     scores.flags.writeable = False
     return ThresholdTest(scores=scores, tau=float(tau), n=int(n))
 
@@ -116,14 +119,15 @@ def _type_tails(j: Joint3, test: ThresholdTest, cap: int):
     null P(x,y|z) mass below n tau and within n SCORE_QUANT of it."""
     if np.any((j.probs > 0) & ~np.isfinite(test.scores)):
         raise ValidationError("null distribution puts mass off its own product support")
-    _, reach, cxy, cx, cy = j.conditionals_given_z()
-    n, k = test.n, int(np.count_nonzero(reach))
+    g = j._z_structure()
+    n, k = test.n, int(np.count_nonzero(g.reach))
     if math.comb(n + k - 1, k - 1) > cap or n * math.log(k) > _LOG_MULT_CAP:
         raise ResourceLimitError(f"n={n} passes the {cap}-type or float-weight cap")
     powers, budget = [], cap  # the power tables of all z share one cap
-    for z in np.flatnonzero(reach):
+    for z in np.flatnonzero(g.reach):
         s = test.scores[:, :, z]
-        mass = np.stack([cxy[z], np.outer(cx[z], cy[z])], axis=-1)
+        cxy = g.cxy_block(slice(z, z + 1))[0]
+        mass = np.stack([cxy, np.outer(g.cx[z], g.cy[z])], axis=-1)
         cell = np.isfinite(s) & (mass > 0).any(axis=-1)
         base = (np.round(s[cell] / SCORE_QUANT).astype(np.int64), s[cell], mass[cell])
         table = [(np.zeros(1, np.int64), np.zeros(1), np.ones((1, 2)))]
@@ -153,17 +157,17 @@ def _type_weights(qz: np.ndarray, types: np.ndarray) -> np.ndarray:
 
 def _qz_grid(j: Joint3, step: float):
     """Grid over the reachable-z simplex, embedded, plus the point P_Z."""
-    pz, reach, _, _, _ = j.conditionals_given_z()
-    idx = np.flatnonzero(reach)
+    s = j._z_structure()
+    idx = np.flatnonzero(s.reach)
     grid_r = simplex_grid(len(idx), step)
     grid = np.zeros((grid_r.shape[0] + 1, j.shape[2]))
     grid[:-1, idx] = grid_r
-    grid[-1] = pz
+    grid[-1] = s.pz
     return grid
 
 
 def _check_reach(j: Joint3, qz: np.ndarray) -> None:
-    if np.any((qz > 0) & ~j.conditionals_given_z()[1]):
+    if np.any((qz > 0) & ~j._z_structure().reach):
         raise ValidationError(
             "alternative weights a z symbol with no conditional structure"
         )
@@ -200,7 +204,7 @@ def exact_errors(
         type2 = np.full(len(grid), 1.0 - p1)
     else:
         types, tails = typed
-        qz = grid[:, j.conditionals_given_z()[1]]
+        qz = grid[:, j._z_structure().reach]
         cols = max(1, state_cap // qz.size)
         out = sum(_type_weights(qz, types[s : s + cols]) @ tails[s : s + cols]
                   for s in range(0, len(types), cols))
@@ -250,7 +254,7 @@ def monte_carlo_errors(
         raise ResourceLimitError(
             f"{trials} trials of length {n} pass the {DEFAULT_CELL_CAP}-cell cap"
         )
-    _, _, _, cx, cy = j.conditionals_given_z()
+    s = j._z_structure()
     rng = np.random.default_rng(seed)
     values = np.where(np.isfinite(test.scores), test.scores, -math.inf).ravel()
     cells = values.shape[0]
@@ -266,7 +270,7 @@ def monte_carlo_errors(
     for qz in qz_list:
         qz_arr = np.asarray(qz.probs if hasattr(qz, "probs") else qz, dtype=float)
         _check_reach(j, qz_arr)
-        alt_sums = sample_sums(np.einsum("zx,zy,z->xyz", cx, cy, qz_arr).ravel())
+        alt_sums = sample_sums(np.einsum("zx,zy,z->xyz", s.cx, s.cy, qz_arr).ravel())
         hits = int(np.count_nonzero(alt_sums >= n * tau))
         type2 = hits / trials
         rate = math.inf if type2 <= 0 else -math.log(type2) / n

@@ -358,10 +358,10 @@ def cond_z_oracles(joints, a, step: float | None = None):
     joints, (_, _, nz) = _one_shape(joints)
     probs, conds, idxs = [], [], []
     for j in joints:
-        _, reach, _, cx, cy = j.conditionals_given_z()
+        s = j._z_structure()
         probs.append(j.probs.ravel())
-        conds.append(np.einsum("zx,zy->xyz", cx, cy))
-        idxs.append(np.flatnonzero(reach))
+        conds.append(np.einsum("zx,zy->xyz", s.cx, s.cy))
+        idxs.append(np.flatnonzero(s.reach))
     groups: dict[int, list[int]] = {}
     for m, idx in enumerate(idxs):
         groups.setdefault(len(idx), []).append(m)
@@ -412,11 +412,11 @@ def cond_ygz_oracles(joints, a, step: float | None = None):
     sign = 1.0 if av > 1 else -1.0
     p_blocks, bases, reaches = [], [], []
     for j in joints:
-        pz, reach, _, cx, _ = j.conditionals_given_z()
-        reaches.append(reach)
-        for z in np.flatnonzero(reach):
+        s = j._z_structure()
+        reaches.append(s.reach)
+        for z in np.flatnonzero(s.reach):
             p_blocks.append(j.probs[:, :, z].ravel())
-            bases.append(cx[z][:, None] * pz[z])  # P(x|z) P_Z(z), broadcast over y
+            bases.append(s.cx[z][:, None] * s.pz[z])  # P(x|z) P_Z(z), broadcast over y
     p = np.stack(p_blocks)[:, None, :]
     base = np.stack(bases)[:, None]
 

@@ -270,8 +270,8 @@ def run_selftest(seed: int = 0) -> list[CheckRow]:
         j = random_joint3(rng, (2, 2, 2))
         for a in (0.5, 2.0):
             rep_z = cond_sibson_z(j, a)
-            pz, reach, cxy, cx, cy = j.conditionals_given_z()
-            m = np.einsum("zx,zy,z->xyz", cx, cy, rep_z.optimizer.probs)
+            s = j._z_structure()
+            m = np.einsum("zx,zy,z->xyz", s.cx, s.cy, rep_z.optimizer.probs)
             worst = max(worst, abs(renyi_divergence(j, m, a) - rep_z.value_nats))
     rows.append(_row("measure.optimizer_valid", worst <= 1e-8, f"max gap {_fmt(worst)}"))
 

@@ -25,6 +25,7 @@ from .core import (
     Kernel,
     Pmf,
     _log,
+    _z_blocks,
     tensor_power,
 )
 from .divergences import _exp, _log_hellinger_rows, _log_power_sum, _logsumexp
@@ -61,12 +62,11 @@ def _per_z(s, kernel, axis: int = 0) -> np.ndarray:
     its results.
 
     A kernel reduces each z symbol's slice on its own, so the blocks give
-    the bits of one whole-joint pass while its temporaries stay the size
-    of one block instead of the joint.
+    the bits of one whole-joint pass while its temporaries, P(.,.|z) of
+    the block (``s.cxy_block(b)``) among them, stay the size of one block
+    instead of the joint.
     """
-    nz, nx, ny = s.cxy.shape
-    step = max(1, _GRID_CELLS // (nx * ny))
-    blocks = (slice(lo, lo + step) for lo in range(0, nz, step))
+    blocks = _z_blocks(s.probs.shape, _GRID_CELLS)
     return np.concatenate([kernel(b) for b in blocks], axis=axis)
 
 
@@ -99,15 +99,15 @@ def shannon_mi(jxy: Joint2) -> float:
     return float(np.sum(pxy * lr))
 
 
-def _ratio_block(s, b, log: bool) -> np.ndarray:
+def _ratio_block(s, b, cxy: np.ndarray, log: bool) -> np.ndarray:
     """P(x,y|z) / (P(x|z) P(y|z)) on the z-block ``b`` of the structure
-    ``s`` where P(x,y|z) > 0 and 0 elsewhere, or with ``log`` its log
-    and 0 elsewhere. A cell whose product underflows to 0 under a
-    positive P(x,y|z) takes its log-ratio from logs,
-    log P(x,y|z) - log P(x|z) - log P(y|z); every other cell is the plain
+    ``s``, whose P(.,.|z) is ``cxy``, where P(x,y|z) > 0 and 0 elsewhere,
+    or with ``log`` its log and 0 elsewhere. A cell whose product
+    underflows to 0 under a positive P(x,y|z) takes its log-ratio from
+    logs, log P(x,y|z) - log P(x|z) - log P(y|z), and its ratio reads inf
+    where that log passes the float range; every other cell is the plain
     ratio.
     """
-    cxy = s.cxy[b]
     prod = s.cx[b, :, None] * s.cy[b, None, :]
     pos, ok = cxy > 0, prod > 0
     out = np.full(cxy.shape, 1.0 if log else 0.0)
@@ -118,21 +118,28 @@ def _ratio_block(s, b, log: bool) -> np.ndarray:
     if under.any():
         z, x, y = np.nonzero(under)
         lr = np.log(cxy[z, x, y]) - s.lcx[b][z, x] - s.lcy[b][z, y]
-        out[z, x, y] = lr if log else np.exp(lr)
+        if not log:
+            with np.errstate(over="ignore"):
+                lr = np.exp(lr)
+        out[z, x, y] = lr
     return out
 
 
 def conditional_mi(j: Joint3) -> float:
-    """Shannon conditional mutual information I(X;Y|Z), in nats."""
+    """Shannon conditional mutual information I(X;Y|Z), in nats; priced
+    once per joint and kept on its structure given z."""
     s = j._z_structure()
+    if s.cmi is None:
 
-    def per_z(b):
-        # one log-ratio array per block, then the terms in place
-        terms = _ratio_block(s, b, log=True)
-        terms *= s.cxy[b]
-        return np.sum(terms, axis=(1, 2))
+        def per_z(b):
+            # one log-ratio array per block, then the terms in place
+            cxy = s.cxy_block(b)
+            terms = _ratio_block(s, b, cxy, log=True)
+            terms *= cxy
+            return np.sum(terms, axis=(1, 2))
 
-    return float(np.sum(s.pz * _per_z(s, per_z)))
+        s.cmi = float(np.sum(s.pz * _per_z(s, per_z)))
+    return s.cmi
 
 
 def sibson_mi(jxy: Joint2, a) -> MiReport:
@@ -228,12 +235,22 @@ def cond_sibson_z(j: Joint3, a) -> MiReport:
 
         def max_ratio(b):
             # max over (x, y) of P(x,y|z) / (P(x|z) P(y|z)); 0 if z is unreachable
-            return _ratio_block(s, b, log=False).max(axis=(1, 2))
+            return _ratio_block(s, b, s.cxy_block(b), log=False).max(axis=(1, 2))
 
         m = _per_z(s, max_ratio)
-        value = float(np.log(np.dot(s.pz, m)))
-        q = s.pz * m
-        return MiReport(a, value, COND_Z, Pmf(j.z_labels, q / q.sum()))
+        over = np.flatnonzero(np.isinf(m))
+        if not len(over):
+            value = float(np.log(np.dot(s.pz, m)))
+            q = s.pz * m
+            return MiReport(a, value, COND_Z, Pmf(j.z_labels, q / q.sum()))
+        # a ratio past the float range: the sum in log space, with those
+        # z's maxima taken over their log-ratios
+        logits = s.lpz + _log(m)
+        for z in over:
+            b = slice(z, z + 1)
+            cxy = s.cxy_block(b)
+            logits[z] = s.lpz[z] + _ratio_block(s, b, cxy, log=True)[cxy > 0].max()
+        return MiReport(a, _logsumexp(logits), COND_Z, Pmf(j.z_labels, _softmax(logits)))
     logits, values = _cond_z_grid(s, np.array([a.value]))
     return MiReport(a, float(values[0]), COND_Z, Pmf(j.z_labels, _softmax(logits[0])))
 
@@ -253,7 +270,7 @@ def _cond_z_grid(s, avs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # cells off the support of P(.,.|z), and all of an unreachable
         # z, are -inf through the log and drop out of the sums; each
         # chunk's terms are built and reduced in one temporary
-        lcxy = _log(s.cxy[b])
+        lcxy = _log(s.cxy_block(b))
         per = max(1, _GRID_CELLS // lcxy.size)
         sums = np.empty((len(avs), len(lcxy)))
         for lo in range(0, len(avs), per):
@@ -312,7 +329,7 @@ def cond_sibson_ygz(j: Joint3, a) -> MiReport:
         return MiReport(a, value, COND_LEAKAGE, opt)
     av = a.value
     log_b = _per_z(
-        s, lambda b: _log_power_sum(_log(s.cxy[b]), s.lcx[b, :, None], av, axis=1)
+        s, lambda b: _log_power_sum(_log(s.cxy_block(b)), s.lcx[b, :, None], av, axis=1)
     )
     log_b /= av
     l_z = av * _logsumexp(log_b, axis=1)
@@ -324,20 +341,25 @@ def cond_sibson_ygz(j: Joint3, a) -> MiReport:
 
 
 def _cond_leakage_parts(j: Joint3):
-    """Per-z leakage sums and the rows attaining the sup-order minimum."""
+    """Per-z leakage sums and the rows attaining the sup-order minimum;
+    priced once per joint and kept, rows read-only, on its structure
+    given z."""
     s = j._z_structure()
+    if s.leakage is None:
 
-    def col_max(b):
-        # max over supported x of P(y | x, z); unsupported x rows read 0
-        cx = s.cx[b, :, None]
-        return np.divide(s.cxy[b], cx, out=np.zeros(s.cxy[b].shape),
-                         where=cx > 0).max(axis=1)
+        def col_max(b):
+            # max over supported x of P(y | x, z); an unsupported x row is
+            # all zero in P(.,.|z) and stays so
+            cxy, cx = s.cxy_block(b), s.cx[b, :, None]
+            return np.divide(cxy, cx, out=cxy, where=cx > 0).max(axis=1)
 
-    m = _per_z(s, col_max)
-    sums = m.sum(axis=1)
-    rows = np.zeros(m.shape)
-    rows[s.reach] = m[s.reach] / sums[s.reach, None]
-    return float(np.log(sums[s.reach].max())), rows
+        m = _per_z(s, col_max)
+        sums = m.sum(axis=1)
+        rows = np.zeros(m.shape)
+        rows[s.reach] = m[s.reach] / sums[s.reach, None]
+        rows.flags.writeable = False
+        s.leakage = float(np.log(sums[s.reach].max())), rows
+    return s.leakage
 
 
 def cond_maximal_leakage(j: Joint3) -> float:
@@ -364,16 +386,16 @@ def lmgf_representation(j: Joint3, a) -> tuple[float, float, float]:
         raise ValidationError("the representation identity needs a finite order > 1")
     av = a.value
     lhs = cond_sibson_z(j, a).value_nats
-    pz, reach, cxy, cx, cy = j.conditionals_given_z()
-    ridx = np.flatnonzero(reach)
-    prod = cx[ridx, :, None] * cy[ridx, None, :]
+    s = j._z_structure()
+    ridx = np.flatnonzero(s.reach)
+    prod = s.cx[ridx, :, None] * s.cy[ridx, None, :]
     n = len(ridx)
-    lps = _log_hellinger_rows(cxy[ridx].reshape(n, -1), prod.reshape(n, -1), av)
+    lps = _log_hellinger_rows(s.cxy_block(ridx).reshape(n, -1), prod.reshape(n, -1), av)
     d = lps / (av - 1.0)  # per-z divergences
     h = np.array([_exp(v) for v in lps.tolist()])  # per-z Hellinger integrals
     if not (np.all(np.isfinite(lps)) and np.all(np.isfinite(h))):
         return lhs, math.inf, math.inf
-    lpz = np.log(pz[ridx])
+    lpz = np.log(s.pz[ridx])
     rhs1 = av / (av - 1.0) * _logsumexp(lpz + (av - 1.0) / av * d)
     rhs2 = av / (av - 1.0) * _logsumexp(lpz + np.log(h) / av)
     return lhs, rhs1, rhs2

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import copy_joint, event_slice, event_slice_zy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sibsonmi.core as core
 from sibsonmi.core import (
     Alpha,
     EventMask,
@@ -165,7 +167,64 @@ class TestAlpha:
         assert all(str(Alpha.coerce(label)) == label for label in labels)
 
 
+def whole_array_structure(probs):
+    """``(pz, reach, cxy, cx, cy)`` from whole-array operations: the
+    formula the structure's z-blocks must reproduce bit for bit."""
+    pz = probs.sum(axis=(0, 1))
+    reach = pz > 0
+    cxy = np.zeros((probs.shape[2], *probs.shape[:2]))
+    np.divide(np.moveaxis(probs, 2, 0), pz[:, None, None], out=cxy,
+              where=reach[:, None, None])
+    return pz, reach, cxy, cxy.sum(axis=2), cxy.sum(axis=1)
+
+
+@st.composite
+def sparse_probs(draw):
+    """Joint arrays of up to 5x5x9 with zero cells and unreachable z."""
+    shape = tuple(draw(st.integers(1, n)) for n in (5, 5, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.random(shape) * (rng.random(shape) < 0.7)
+    for z in range(shape[2]):
+        if draw(st.integers(0, 3)) == 0:
+            w[:, :, z] = 0.0
+    if w.sum() == 0:
+        w[(0, 0, 0)] = 1.0
+    return w / w.sum()
+
+
 class TestConditionalsGivenZ:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(probs=sparse_probs(), block_cells=st.sampled_from((1, 5, 12, 1 << 16)))
+    def test_blocks_match_the_whole_array_formula(self, probs, block_cells):
+        # z-blocks of one z up to the whole joint, each its own structure
+        with mock.patch.object(core, "_BLOCK_CELLS", block_cells):
+            j = Joint3(*[tuple(map(str, range(n))) for n in probs.shape], probs)
+            s = j._z_structure()
+            got = j.conditionals_given_z()
+        want = whole_array_structure(j.probs)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        cxy = want[2]
+        for b in s.blocks():
+            assert s.cxy_block(b).tobytes() == cxy[b].tobytes()
+        ridx = np.flatnonzero(s.reach)
+        assert s.cxy_block(ridx).tobytes() == cxy[ridx].tobytes()
+
+    def test_whole_array_is_built_on_first_call_only(self, rng):
+        j = random_joint3(rng, (2, 3, 4))
+        s = j._z_structure()
+        assert s.cxy is None
+        cxy = j.conditionals_given_z()[2]
+        assert s.cxy is cxy and j.conditionals_given_z()[2] is cxy
+
+    def test_structure_holds_no_copy_of_the_joint(self, rng):
+        j = random_joint3(rng, (3, 4, 5))
+        s = j._z_structure()
+        assert s.probs is j.probs
+        for name in ("pz", "reach", "cx", "cy", "lpz", "lcx", "lcy"):
+            assert getattr(s, name).size < j.probs.size
+
     def test_arrays_read_only_and_shared(self, rng):
         j = random_joint3(rng, (2, 3, 4))
         first = j.conditionals_given_z()
@@ -184,6 +243,14 @@ class TestConditionalsGivenZ:
         assert np.array_equal(scxy, np.transpose(cxy, (0, 2, 1)))
         assert np.array_equal(scx, cy) and np.array_equal(scy, cx)
         assert np.array_equal(spz, pz) and np.array_equal(sreach, reach)
+
+    def test_constructor_copies_its_input(self):
+        probs = np.full((2, 2, 2), 0.125)
+        j = Joint3(("0", "1"), ("0", "1"), ("0", "1"), probs)
+        probs[0, 0, 0] = 0.5
+        assert not np.shares_memory(j.probs, probs)
+        assert np.all(j.probs == 0.125) and not j.probs.flags.writeable
+        assert probs.flags.writeable
 
     def test_unreachable_z_has_zero_slices(self):
         probs = np.zeros((2, 2, 3))

@@ -142,6 +142,63 @@ class TestUnderflowingProduct:
         assert rep.optimizer.probs == pytest.approx(pz * top / (pz @ top), rel=1e-12)
 
 
+def _overflow_joint():
+    # z = "0" puts 1e-320 on (0, 0): its ratio to P(x|z)P(y|z) is about
+    # 5e319, past the float range, while its log is finite
+    p = np.zeros((2, 2, 2))
+    p[:, :, 0] = [[1e-320, 0.0], [0.0, 0.5]]
+    p[:, :, 1] = [[0.2, 0.1], [0.05, 0.15]]
+    return Joint3(("0", "1"), ("0", "1"), ("0", "1"), p)
+
+
+class TestOverflowingRatio:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sup_order_in_log_space(self):
+        j = _overflow_joint()
+        pz = j.marginal_z().probs
+        logits = [math.log(pz[z]) + max(lr for _, lr in cells)
+                  for z, cells in enumerate(_log_ratios(j))]
+        top = max(logits)
+        want = top + math.log(math.fsum(math.exp(l - top) for l in logits))
+        rep = cond_sibson_z(j, Alpha.INFINITY)
+        assert rep.value_nats == pytest.approx(want, rel=1e-12)
+        q = [math.exp(l - want) for l in logits]
+        assert rep.optimizer.probs == pytest.approx(q, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_order_is_finite(self):
+        j = _overflow_joint()
+        for a in (0.5, 2.0, Alpha.ONE, Alpha.INFINITY):
+            for f in (cond_sibson_z, cond_sibson_ygz):
+                assert math.isfinite(f(j, a).value_nats)
+
+
+class TestOncePerJoint:
+    def test_cached_parts_match_a_fresh_joint(self, rng, monkeypatch):
+        # several z-blocks per joint; each fresh joint prices its own
+        monkeypatch.setattr(sibson, "_GRID_CELLS", 7)
+        joints = [sparse_joint(rng), random_joint3(rng, (3, 4, 6), zero_cells=5),
+                  _underflow_joint()]
+        for j in joints:
+            def fresh():
+                return Joint3(j.x_labels, j.y_labels, j.z_labels, j.probs)
+
+            mi = [conditional_mi(j), cond_sibson_z(j, Alpha.ONE).value_nats,
+                  cond_sibson_ygz(j, Alpha.ONE).value_nats, conditional_mi(j)]
+            assert j._z_structure().cmi is not None
+            leak = cond_sibson_ygz(j, Alpha.INFINITY)
+            assert j._z_structure().leakage is not None
+            want = np.float64(conditional_mi(fresh())).tobytes()
+            assert all(np.float64(v).tobytes() == want for v in mi)
+            want = cond_sibson_ygz(fresh(), Alpha.INFINITY)
+            for got in (leak.value_nats, cond_maximal_leakage(j)):
+                assert np.float64(got).tobytes() == np.float64(want.value_nats).tobytes()
+            assert np.float64(cond_maximal_leakage(fresh())).tobytes() == (
+                np.float64(want.value_nats).tobytes()
+            )
+            assert leak.optimizer.rows.tobytes() == want.optimizer.rows.tobytes()
+
+
 class TestMaximalLeakage:
     def test_independent_is_zero(self):
         j = independent_joint2((0.3, 0.7), (0.5, 0.5))
