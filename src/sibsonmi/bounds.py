@@ -28,7 +28,7 @@ from .core import (
     require_conformal,
 )
 from .errors import PreconditionError, ValidationError
-from .sibson import _per_z, cond_maximal_leakage, cond_sibson_ygz, cond_sibson_z
+from .sibson import cond_maximal_leakage, cond_sibson_ygz, cond_sibson_z
 
 THM1 = "THM1"
 THM3 = "THM3"
@@ -104,7 +104,7 @@ def _product_dominates(j: Joint3) -> bool:
         prod = np.einsum("z,zx,zy->xyz", s.pz[b], s.cx[b], s.cy[b])
         return np.any((prod <= 0) & (j.probs[:, :, b] > 0), axis=(0, 1))
 
-    return not _per_z(s, escapes).any()
+    return not s.per_z(escapes).any()
 
 
 def bound_thm3(j: Joint3, e: EventMask, a) -> BoundReport:
@@ -125,7 +125,7 @@ def _max_product_mass(j: Joint3, e: EventMask) -> float:
         prod = s.cx[b, :, None] * s.cy[b, None, :]  # all zero for unreachable z
         return np.sum(prod, axis=(1, 2), where=where[b])
 
-    return float(_per_z(s, mass).max(initial=0.0))
+    return float(s.per_z(mass).max(initial=0.0))
 
 
 def _expected_slice_mass(j: Joint3, e: EventMask) -> float:
@@ -133,7 +133,7 @@ def _expected_slice_mass(j: Joint3, e: EventMask) -> float:
     s = j._z_structure()
     where = np.moveaxis(e.mask, 2, 0)
     # (z, y)
-    mass = _per_z(s, lambda b: np.sum(s.cx[b, :, None] * where[b], axis=1))
+    mass = s.per_z(lambda b: np.sum(s.cx[b, :, None] * where[b], axis=1))
     best = np.where(s.cy > 0, mass, 0.0).max(axis=1, initial=0.0)
     return float(np.sum(s.pz * best))
 

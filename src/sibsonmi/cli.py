@@ -76,11 +76,9 @@ LOAD_MASS_TOL = 1e-9
 # bytes read per call; each read's ``probs`` elements up to its last comma
 # are decoded in one json.loads call
 _SLICE_CHARS = 1 << 16
-_JSON_WS = re.compile(r"[ \t\n\r]*")
 _PROBS_KEY = re.compile(rb'"probs"[ \t\n\r]*:[ \t\n\r]*\[')
 # what may follow a '"probs"' that more bytes could still make a key match
 _KEY_TAIL = re.compile(rb"[ \t\n\r]*(?::[ \t\n\r]*)?")
-_DECODER = json.JSONDecoder()
 
 
 def load_joint(path: str) -> tuple[Joint3, str]:
@@ -94,13 +92,14 @@ def load_joint(path: str) -> tuple[Joint3, str]:
     pieces, into one growable buffer of float64 bytes that becomes the
     array without a copy, is normalised in place and is handed to the
     joint as its read-only ``probs``, again without a copy; only the
-    bytes around it become text. So peak memory is that one array, with
-    the slack the buffer grows by. Any other file is read again from the
-    start of the same handle and parsed whole by one ``json.loads``,
-    which holds one Python float per entry; no ``save_joint`` file takes
-    this path. Either way every file gives the same joint or the same
-    message as one ``json.load``. An input that cannot seek (a pipe) is
-    read whole first.
+    bytes around it become text, checked by the same ``_read_whole``
+    as a whole file with ``[]`` in the array's place. So peak memory is
+    that one array, with the slack the buffer grows by. Any other file
+    is read again from the start of the same handle and parsed whole by
+    one ``json.loads``, which holds one Python float per entry; no
+    ``save_joint`` file takes this path. Either way every file gives the
+    same joint or the same message as one ``json.load``. An input that
+    cannot seek (a pipe) is read whole first.
 
     A file that is not UTF-8 JSON, non-finite, negative and out-of-float-
     range entries, and total mass off 1 by more than 1e-9 are rejected as
@@ -176,14 +175,19 @@ def _stream_fields(fh, sha):
     """``(labels, probs array)`` of the document read from ``fh``, with
     its ``probs`` array decoded from the bytes as they stream past and
     only the bytes around the array decoded to text; None for a document
-    the stream does not cover exactly (no ``"probs": [`` in the bytes, a
-    match that is not the one ``probs`` value of the document, or
-    anything ``_walk_fields`` rejects). Every chunk read goes into
+    the stream does not cover exactly. Every chunk read goes into
     ``sha``.
 
     The array ends at its first ``]`` and its commas are single bytes,
     as in the decoded text, so the pieces decoded between commas are
-    the elements ``json.loads`` reads."""
+    the elements ``json.loads`` reads. The text around the array, with
+    ``[]`` in its place, is then checked by ``_read_whole``, which also
+    counts the ``probs`` keys of every object. Only a document that
+    passes with exactly one such key keeps the decoded array: that key
+    is the top-level one, so the ``[`` cut from the bytes opened its
+    value. Anything else (no ``"probs": [`` in the bytes, a repeated or
+    escaped ``probs`` key, or a document ``_read_whole`` rejects) gives
+    None and leaves the file to the whole parse."""
 
     def read():
         chunk = fh.read(_SLICE_CHARS)
@@ -204,8 +208,7 @@ def _stream_fields(fh, sha):
             if not chunk:
                 return None
             head += chunk
-        # the text keeps the opening bracket, where the walk must come to
-        # the probs value
+        # the text keeps the opening bracket, closed again after the array
         text = head[:m.end()].decode("utf-8")
         body = bytes(head[m.end():])
         del head
@@ -223,51 +226,17 @@ def _stream_fields(fh, sha):
         rest = [body[end + 1:]]
         while chunk := read():
             rest.append(chunk)
-        labels = _walk_fields(text + b"".join(rest).decode("utf-8"), len(text) - 1)
-        return labels, np.frombuffer(probs)
+        keys = []
+
+        def count_probs(pairs):
+            keys.extend(k for k, _ in pairs if k == "probs")
+            return dict(pairs)
+
+        text += "]" + b"".join(rest).decode("utf-8")
+        labels, _ = _read_whole("", text, count_probs)
+        return (labels, np.frombuffer(probs)) if len(keys) == 1 else None
     except (ValueError, OverflowError, RecursionError):
         return None
-
-
-def _skip_to(text: str, pos: int, char: str) -> int:
-    """Index just past ``char``, which must follow JSON whitespace at ``pos``."""
-    pos = _JSON_WS.match(text, pos).end()
-    if not text.startswith(char, pos):
-        raise ValueError(f"expected {char!r} at character {pos}")
-    return pos + 1
-
-
-def _walk_fields(text: str, cut: int):
-    """The labels of a well-formed document whose ``probs`` array was cut
-    out of ``text`` after the ``[`` at ``cut``: the required fields and
-    no other (a repeated label field keeps its last value), labels arrays
-    of strings, and ``probs`` the one value at ``cut``. Anything else (a
-    repeated or escaped ``probs`` key among them) raises, and leaves the
-    file to ``_read_whole``. ``\\r`` may stay untranslated: JSON takes it
-    as whitespace and rejects it in strings."""
-    fields = {}
-    pos = _skip_to(text, 0, "{")
-    while len(fields) < len(REQUIRED_FIELDS):
-        if fields:
-            pos = _skip_to(text, pos, ",")
-        key, pos = json.decoder.scanstring(text, _skip_to(text, pos, '"'))
-        if key not in REQUIRED_FIELDS:
-            raise ValueError(f"unknown field {key!r}")
-        pos = _JSON_WS.match(text, _skip_to(text, pos, ":")).end()
-        if key != "probs":
-            fields[key], pos = _DECODER.raw_decode(text, pos)
-        elif pos != cut:
-            raise ValueError("probs is not the array cut from the bytes")
-        else:
-            fields[key], pos = None, cut + 1
-    pos = _skip_to(text, pos, "}")
-    if _JSON_WS.match(text, pos).end() != len(text):
-        raise ValueError("data after the top-level object")
-    labels = tuple(fields[k] for k in REQUIRED_FIELDS[:3])
-    for vals in labels:
-        if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
-            raise ValueError("labels must be arrays of strings")
-    return tuple(map(tuple, labels))
 
 
 def _decode_piece(piece: bytes, probs: bytearray) -> None:
@@ -286,12 +255,16 @@ def _decode_piece(piece: bytes, probs: bytearray) -> None:
     probs += np.array(values, dtype=float).tobytes()
 
 
-def _read_whole(path: str, text: str):
+def _read_whole(path: str, text: str, object_pairs_hook=None):
     """``(labels, probs list)`` of the whole decoded document, with every
-    rejection an ``InputFormatError``. Line ends are translated first, as
-    by a text-mode read, so a parse error names the same line and column."""
+    rejection an ``InputFormatError``: the required fields and no other,
+    labels arrays of strings and ``probs`` an array of numbers. Line ends
+    are translated first, as by a text-mode read, so a parse error names
+    the same line and column. ``object_pairs_hook`` goes to ``json.loads``
+    and sees every object of the document, nested ones included."""
     try:
-        doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+        doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"),
+                         object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "

@@ -49,13 +49,18 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         )
 
 
-def _check_mass(probs: np.ndarray, what: str) -> None:
-    _check_finite(probs, what)
-    if np.any(probs < 0):
-        idx = tuple(map(int, np.unravel_index(int(np.argmin(probs)), probs.shape)))
+def _check_measure(values: np.ndarray, what: str) -> None:
+    """Finite and nonnegative entries: a measure, of any total mass."""
+    _check_finite(values, what)
+    if np.any(values < 0):
+        idx = tuple(map(int, np.unravel_index(int(np.argmin(values)), values.shape)))
         raise ValidationError(
-            f"{what} violates nonnegativity: entry {idx} = {float(probs[idx])!r}"
+            f"{what} violates nonnegativity: entry {idx} = {float(values[idx])!r}"
         )
+
+
+def _check_mass(probs: np.ndarray, what: str) -> None:
+    _check_measure(probs, what)
     total = float(probs.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise ValidationError(
@@ -298,17 +303,10 @@ def _log(a: np.ndarray, fill: float = -math.inf) -> np.ndarray:
     return out
 
 
-# the largest block of P(x,y|z), in cells, the structure given z derives
-# at once; a joint with more cells is taken one block of z symbols at a time
+# the largest block of P(x,y|z), in cells, the structure given z and the
+# per-z kernels on it derive at once (for an order grid, orders x cells);
+# a joint with more cells is taken one block of z symbols at a time
 _BLOCK_CELLS = 1 << 16
-
-
-def _z_blocks(shape, cells: int) -> list:
-    """Slices of the z axis of a joint of ``shape`` of at most ``cells``
-    cells each (one z at least, and one slice when the whole joint fits)."""
-    nx, ny, nz = shape
-    step = max(1, cells // (nx * ny))
-    return [slice(lo, lo + step) for lo in range(0, nz, step)]
 
 
 class _GivenZ:
@@ -316,13 +314,15 @@ class _GivenZ:
 
     It holds no joint-sized array of its own: ``probs`` is the joint's
     array, and ``cxy_block(b)`` derives P(.,.|z) for a block ``b`` of z
-    symbols on demand, so a joint costs one array, not two. ``pz``,
+    symbols on demand, so a joint costs one array, not two. ``blocks()``
+    is the one split of the z axis into blocks of ``_BLOCK_CELLS`` cells,
+    and ``per_z`` the one walk of a per-z kernel over it. ``pz``,
     ``reach``, ``cx`` and ``cy`` are the other arrays of
-    ``Joint3.conditionals_given_z``, ``cx`` and ``cy`` summed one block of
-    ``_BLOCK_CELLS`` cells at a time; ``lpz``, ``lcx`` and ``lcy`` their
-    logs. Zero masses have ``lpz`` -inf but ``lcx`` and ``lcy`` 0, so a
-    term weighting ``_log(cxy)`` by a positive order is -inf off the
-    support of P(.,.|z) and never NaN.
+    ``Joint3.conditionals_given_z``, ``cx`` and ``cy`` summed one block at
+    a time; ``lpz``, ``lcx`` and ``lcy`` their logs. Zero masses have
+    ``lpz`` -inf but ``lcx`` and ``lcy`` 0, so a term weighting
+    ``_log(cxy)`` by a positive order is -inf off the support of
+    P(.,.|z) and never NaN.
 
     The rest is filled on first use and kept: ``cxy``, the whole
     P(.,.|z) of ``conditionals_given_z``; ``cmi``, I(X;Y|Z); and
@@ -349,8 +349,22 @@ class _GivenZ:
         self.cxy = self.cmi = self.leakage = None
 
     def blocks(self) -> list:
-        """The z-blocks of ``_BLOCK_CELLS`` cells the structure is built in."""
-        return _z_blocks(self.probs.shape, _BLOCK_CELLS)
+        """Slices of the z axis of at most ``_BLOCK_CELLS`` cells each (one
+        z at least, and one slice when the whole joint fits), read at call
+        time: the blocks the structure is built in and its kernels run on."""
+        nx, ny, nz = self.probs.shape
+        step = max(1, _BLOCK_CELLS // (nx * ny))
+        return [slice(lo, lo + step) for lo in range(0, nz, step)]
+
+    def per_z(self, kernel, axis: int = 0) -> np.ndarray:
+        """``kernel(b)`` over the ``blocks()`` ``b``, joined along ``axis``,
+        the z axis of its results.
+
+        A kernel reduces each z symbol's slice on its own, so the blocks
+        give the bits of one whole-joint pass while its temporaries,
+        ``cxy_block(b)`` among them, stay the size of one block.
+        """
+        return np.concatenate([kernel(b) for b in self.blocks()], axis=axis)
 
     def cxy_block(self, b) -> np.ndarray:
         """P(x,y|z) for the z symbols ``b`` (a slice or an index array) as

@@ -1,7 +1,9 @@
 """Renyi divergence, its order-1 and sup-order limits, and the Hellinger
 integral of a given order.
 
-All values are in nats.  Zero-probability conventions follow the
+All values are in nats.  Inputs are measures: finite nonnegative
+entries of any total mass; a negative or non-finite entry raises
+``ValidationError``.  Zero-probability conventions follow the
 density-based definition: a cell with p = 0 contributes nothing for any
 positive order; a cell with q = 0 against p > 0 forces +inf for orders
 above 1 and contributes nothing for orders below 1.  Sums are taken in
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alpha, _log
+from .core import Alpha, _check_measure, _log
 from .errors import PreconditionError, ShapeMismatchError, ValidationError
 
 _NEG_CLAMP = 1e-12
@@ -70,11 +72,15 @@ def _flat(measure) -> np.ndarray:
 
 
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Both measures as flat arrays on one alphabet; a negative or
+    non-finite entry is a ``ValidationError``."""
     pa, qa = _flat(p), _flat(q)
     if pa.shape != qa.shape:
         raise ShapeMismatchError(
             f"measures live on different alphabets: {pa.shape} vs {qa.shape}"
         )
+    _check_measure(pa, "p")
+    _check_measure(qa, "q")
     return pa, qa
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     Alpha,
     Joint2,
@@ -25,7 +26,6 @@ from .core import (
     Kernel,
     Pmf,
     _log,
-    _z_blocks,
     tensor_power,
 )
 from .divergences import _exp, _log_hellinger_rows, _log_power_sum, _logsumexp
@@ -47,27 +47,6 @@ class MiReport:
     value_nats: float
     variant: str
     optimizer: Pmf | Kernel | None = None
-
-
-# the largest (orders x cells) block a per-z kernel evaluates at once:
-# the order grid goes in chunks of orders, and a joint with more cells
-# goes one order, and one block of z symbols, at a time
-_GRID_CELLS = 1 << 16
-
-
-def _per_z(s, kernel, axis: int = 0) -> np.ndarray:
-    """``kernel(b)`` over slices ``b`` of the z axis of the structure
-    ``s`` of at most ``_GRID_CELLS`` cells each (one z at least, and one
-    slice when the whole joint fits), joined along ``axis``, the z axis of
-    its results.
-
-    A kernel reduces each z symbol's slice on its own, so the blocks give
-    the bits of one whole-joint pass while its temporaries, P(.,.|z) of
-    the block (``s.cxy_block(b)``) among them, stay the size of one block
-    instead of the joint.
-    """
-    blocks = _z_blocks(s.probs.shape, _GRID_CELLS)
-    return np.concatenate([kernel(b) for b in blocks], axis=axis)
 
 
 def _finite_top(logits: np.ndarray) -> np.ndarray:
@@ -131,14 +110,14 @@ def conditional_mi(j: Joint3) -> float:
     s = j._z_structure()
     if s.cmi is None:
 
-        def per_z(b):
+        def mi_terms(b):
             # one log-ratio array per block, then the terms in place
             cxy = s.cxy_block(b)
             terms = _ratio_block(s, b, cxy, log=True)
             terms *= cxy
             return np.sum(terms, axis=(1, 2))
 
-        s.cmi = float(np.sum(s.pz * _per_z(s, per_z)))
+        s.cmi = float(np.sum(s.pz * s.per_z(mi_terms)))
     return s.cmi
 
 
@@ -237,7 +216,7 @@ def cond_sibson_z(j: Joint3, a) -> MiReport:
             # max over (x, y) of P(x,y|z) / (P(x|z) P(y|z)); 0 if z is unreachable
             return _ratio_block(s, b, s.cxy_block(b), log=False).max(axis=(1, 2))
 
-        m = _per_z(s, max_ratio)
+        m = s.per_z(max_ratio)
         over = np.flatnonzero(np.isinf(m))
         if not len(over):
             value = float(np.log(np.dot(s.pz, m)))
@@ -259,10 +238,10 @@ def _cond_z_grid(s, avs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The finite-order closed form of ``cond_sibson_z`` at every order
     of ``avs``: the (orders, z) optimiser logits and the values.
 
-    z goes in the blocks of ``_per_z``, each block's log P(.,.|z) taken
+    z goes in the blocks of ``s.per_z``, each block's log P(.,.|z) taken
     once, and within a block the orders go in chunks of at most
-    ``_GRID_CELLS`` (orders x cells) elements, one order at a time past
-    that. Every operation is elementwise or reduces one order's slice for
+    ``core._BLOCK_CELLS`` (orders x cells) elements, read at call time,
+    one order at a time past that. Every operation is elementwise or reduces one order's slice for
     one z, so each order's row is bit-identical to its one-order call.
     """
 
@@ -271,7 +250,7 @@ def _cond_z_grid(s, avs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # z, are -inf through the log and drop out of the sums; each
         # chunk's terms are built and reduced in one temporary
         lcxy = _log(s.cxy_block(b))
-        per = max(1, _GRID_CELLS // lcxy.size)
+        per = max(1, core._BLOCK_CELLS // lcxy.size)
         sums = np.empty((len(avs), len(lcxy)))
         for lo in range(0, len(avs), per):
             av = avs[lo:lo + per, None, None, None]
@@ -282,7 +261,7 @@ def _cond_z_grid(s, avs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             sums[lo:lo + per] = _logsumexp(terms, axis=(2, 3), overwrite=True)
         return sums
 
-    logits = s.lpz + _per_z(s, block, axis=1) / avs[:, None]
+    logits = s.lpz + s.per_z(block, axis=1) / avs[:, None]
     return logits, avs / (avs - 1.0) * _logsumexp(logits, axis=-1)
 
 
@@ -328,8 +307,8 @@ def cond_sibson_ygz(j: Joint3, a) -> MiReport:
         opt = Kernel(j.z_labels, j.y_labels, rows, s.reach)
         return MiReport(a, value, COND_LEAKAGE, opt)
     av = a.value
-    log_b = _per_z(
-        s, lambda b: _log_power_sum(_log(s.cxy_block(b)), s.lcx[b, :, None], av, axis=1)
+    log_b = s.per_z(
+        lambda b: _log_power_sum(_log(s.cxy_block(b)), s.lcx[b, :, None], av, axis=1)
     )
     log_b /= av
     l_z = av * _logsumexp(log_b, axis=1)
@@ -353,7 +332,7 @@ def _cond_leakage_parts(j: Joint3):
             cxy, cx = s.cxy_block(b), s.cx[b, :, None]
             return np.divide(cxy, cx, out=cxy, where=cx > 0).max(axis=1)
 
-        m = _per_z(s, col_max)
+        m = s.per_z(col_max)
         sums = m.sum(axis=1)
         rows = np.zeros(m.shape)
         rows[s.reach] = m[s.reach] / sums[s.reach, None]

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sibsonmi.cli as cli
@@ -522,8 +522,11 @@ def _split_documents(draw):
     probs_key = b'"prob\\u0073"' if defect == "escaped-key" else b'"probs"'
     fields.insert(draw(st.integers(0, 3)), (probs_key, b"[" + body + b"]"))
     if defect == "repeat":
-        again = draw(st.sampled_from([b"[" + body + b"]", b"null", b"[1]"]))
-        fields.insert(draw(st.integers(0, 4)), (b'"probs"', again))
+        # a later "probs": [] reads, in the text around the cut-out array,
+        # like that array's own "[]"
+        again = draw(st.sampled_from([b"[" + body + b"]", b"null", b"[1]", b"[]"]))
+        repeat_key = draw(st.sampled_from([b'"probs"', b'"prob\\u0073"']))
+        fields.insert(draw(st.integers(0, 4)), (repeat_key, again))
     raw = space() + b"{" + b",".join(
         space() + key + space() + b":" + space() + value
         + space() for key, value in fields
@@ -533,8 +536,15 @@ def _split_documents(draw):
     return raw, defect
 
 
+_LABELS_ONE = b'"x_labels": ["0"], "y_labels": ["0"], "z_labels": ["0"]'
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=_split_documents(), read_size=st.sampled_from([1, 4, 1 << 16]))
+@example(doc=(b'{"probs": [1], ' + _LABELS_ONE + b', "probs": []}', "repeat"),
+         read_size=1 << 16)
+@example(doc=(b'{"prob\\u0073": [], ' + _LABELS_ONE + b', "probs": [1]}', "repeat"),
+         read_size=1 << 16)
 def test_stream_matches_whole_text_reader(doc, read_size):
     # clean documents stream to json.loads's fields and the file's digest;
     # every defect leaves the stream to the whole-document parse
@@ -770,7 +780,7 @@ _LARGE_COMMANDS = [
 def large_joint():
     # 655,360 cells, ten times the per-z kernels' block bound
     j = random_joint3(np.random.default_rng(0), (64, 64, 160))
-    assert j.probs.size >= 10 * sibsonmi.sibson._GRID_CELLS
+    assert j.probs.size >= 10 * sibsonmi.core._BLOCK_CELLS
     return j
 
 

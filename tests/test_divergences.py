@@ -122,6 +122,33 @@ class TestRenyi:
         assert abs(v - renyi_divergence(p, q, Alpha.INFINITY)) < 0.1
 
 
+class TestMeasureInputs:
+    # each of these used to price quietly: 0.884, 2.42, log 2 and -inf
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, match", [
+        (lambda: renyi_divergence([-0.1, 1.1], [0.5, 0.5], 2), "p violates nonnegativity"),
+        (lambda: hellinger_integral([-0.1, 1.1], [0.5, 0.5], 2), "p violates nonnegativity"),
+        (lambda: kl_divergence([math.nan, 1.0], [0.5, 0.5]), "p has a non-finite entry"),
+        (lambda: renyi_divergence([0.5, 0.5], [math.inf, 1.0], 0.5), "q has a non-finite entry"),
+        (lambda: renyi_divergence([0.5, 0.5], [1.5, -0.5], Alpha.INFINITY), "q violates"),
+        (lambda: renyi_limit_check([0.5, 0.5], [0.5, math.nan], [0.1]), "q has a non-finite"),
+    ], ids=["renyi_negative", "hellinger_negative", "kl_nan", "renyi_inf",
+            "sup_order_negative", "limit_check_nan"])
+    def test_non_measures_are_rejected(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call()
+
+    def test_measures_of_any_mass_keep_their_bits(self):
+        # a zero cell and a total mass of 1.5 against a pmf
+        p, q = [0.2, 0.0, 1.3], [0.5, 0.25, 0.25]
+        got = [renyi_divergence(p, q, a) for a in (0.5, 2.0, Alpha.ONE, Alpha.INFINITY)]
+        got.append(hellinger_integral(p, q, 3.0))
+        assert [v.hex() for v in got] == [
+            "0x1.ee5095e7eb6ccp-3", "0x1.ec3bd11885207p+0", "0x1.f5c26eed82adfp+0",
+            "0x1.a60e7ddf2a866p+0", "0x1.1978d4fdf3b66p+5",
+        ]
+
+
 class TestHellinger:
     def test_one_at_equal(self):
         assert abs(hellinger_integral(BERN_QUARTER, BERN_QUARTER, 2) - 1.0) <= 1e-12

@@ -25,6 +25,7 @@ from sibsonmi.oracles import (
     min_weighted_radius,
     simplex_grid,
 )
+import sibsonmi.core as core
 import sibsonmi.sibson as sibson
 from sibsonmi.sibson import (
     additivity_check,
@@ -176,7 +177,7 @@ class TestOverflowingRatio:
 class TestOncePerJoint:
     def test_cached_parts_match_a_fresh_joint(self, rng, monkeypatch):
         # several z-blocks per joint; each fresh joint prices its own
-        monkeypatch.setattr(sibson, "_GRID_CELLS", 7)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 7)
         joints = [sparse_joint(rng), random_joint3(rng, (3, 4, 6), zero_cells=5),
                   _underflow_joint()]
         for j in joints:
@@ -590,10 +591,10 @@ _GRID_ORDERS = st.sampled_from(
 class TestCondZGrid:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(j=_grid_joints(), orders=st.lists(_GRID_ORDERS, min_size=1, max_size=12),
-           grid_cells=st.sampled_from((1, 7, 64, 1 << 16)))
-    def test_grid_matches_single_orders_bitwise(self, j, orders, grid_cells):
+           block_cells=st.sampled_from((1, 7, 64, 1 << 16)))
+    def test_grid_matches_single_orders_bitwise(self, j, orders, block_cells):
         # chunks of every size, down to one order per chunk
-        with mock.patch.object(sibson, "_GRID_CELLS", grid_cells):
+        with mock.patch.object(core, "_BLOCK_CELLS", block_cells):
             got = cond_sibson_z_values(j, orders)
             logits, values = sibson._cond_z_grid(j._z_structure(), np.array(orders))
         each = [cond_sibson_z(j, a) for a in orders]
@@ -630,7 +631,7 @@ class TestCondZGrid:
 
     def test_chunks_bound_the_temporary(self, ref, monkeypatch):
         # 8 cells: 3 orders per chunk under a 24-element bound
-        monkeypatch.setattr(sibson, "_GRID_CELLS", 24)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 24)
         sizes = []
         real = sibson._logsumexp
 
@@ -643,6 +644,6 @@ class TestCondZGrid:
         assert sizes[:-1] == [24, 24, 8]
         # under one order's 8 cells: one order and one z (4 cells) at a time
         sizes.clear()
-        monkeypatch.setattr(sibson, "_GRID_CELLS", 5)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 5)
         cond_sibson_z_values(ref, np.linspace(0.1, 0.9, 3))
         assert sizes[:-1] == [4] * 6
