@@ -356,6 +356,13 @@ class _GivenZ:
         step = max(1, _BLOCK_CELLS // (nx * ny))
         return [slice(lo, lo + step) for lo in range(0, nz, step)]
 
+    @staticmethod
+    def orders_per_chunk(cells: int) -> int:
+        """How many orders of an order grid a kernel takes at once on a
+        block of ``cells`` cells: ``_BLOCK_CELLS`` (orders x cells) at
+        most, read at call time, and one order at least."""
+        return max(1, _BLOCK_CELLS // cells)
+
     def per_z(self, kernel, axis: int = 0) -> np.ndarray:
         """``kernel(b)`` over the ``blocks()`` ``b``, joined along ``axis``,
         the z axis of its results.

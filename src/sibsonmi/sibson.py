@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .core import (
     Alpha,
     Joint2,
@@ -239,10 +238,10 @@ def _cond_z_grid(s, avs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of ``avs``: the (orders, z) optimiser logits and the values.
 
     z goes in the blocks of ``s.per_z``, each block's log P(.,.|z) taken
-    once, and within a block the orders go in chunks of at most
-    ``core._BLOCK_CELLS`` (orders x cells) elements, read at call time,
-    one order at a time past that. Every operation is elementwise or reduces one order's slice for
-    one z, so each order's row is bit-identical to its one-order call.
+    once, and within a block the orders go in chunks of
+    ``s.orders_per_chunk``. Every operation is elementwise or reduces one
+    order's slice for one z, so each order's row is bit-identical to its
+    one-order call.
     """
 
     def block(b):
@@ -250,7 +249,7 @@ def _cond_z_grid(s, avs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # z, are -inf through the log and drop out of the sums; each
         # chunk's terms are built and reduced in one temporary
         lcxy = _log(s.cxy_block(b))
-        per = max(1, core._BLOCK_CELLS // lcxy.size)
+        per = s.orders_per_chunk(lcxy.size)
         sums = np.empty((len(avs), len(lcxy)))
         for lo in range(0, len(avs), per):
             av = avs[lo:lo + per, None, None, None]

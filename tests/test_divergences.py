@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from sibsonmi.core import Alpha
 from sibsonmi.divergences import (
+    _clamp,
+    _exp,
     _hellinger_rows,
+    _log_hellinger_rows,
     _logsumexp,
     _renyi_orders,
     hellinger_integral,
@@ -139,14 +142,22 @@ class TestMeasureInputs:
             call()
 
     def test_measures_of_any_mass_keep_their_bits(self):
-        # a zero cell and a total mass of 1.5 against a pmf
-        p, q = [0.2, 0.0, 1.3], [0.5, 0.25, 0.25]
+        # a zero cell and a total mass of 1.5 against a pmf pass the checks,
+        # and each value has the bits of its formula on the raw arrays
+        p, q = np.array([0.2, 0.0, 1.3]), np.array([0.5, 0.25, 0.25])
+        sup = p > 0
+        ratio = p[sup] / q[sup]
+
+        def log_hellinger(av):
+            return _log_hellinger_rows(p[None], q[None], av)[0]
+
+        want = [float(_clamp(log_hellinger(av) / (av - 1.0))) for av in (0.5, 2.0)]
+        want.append(float(_clamp(np.sum(p[sup] * np.log(ratio)))))
+        want.append(float(_clamp(np.log(np.max(ratio)))))
+        want.append(_exp(float(log_hellinger(3.0))))
         got = [renyi_divergence(p, q, a) for a in (0.5, 2.0, Alpha.ONE, Alpha.INFINITY)]
         got.append(hellinger_integral(p, q, 3.0))
-        assert [v.hex() for v in got] == [
-            "0x1.ee5095e7eb6ccp-3", "0x1.ec3bd11885207p+0", "0x1.f5c26eed82adfp+0",
-            "0x1.a60e7ddf2a866p+0", "0x1.1978d4fdf3b66p+5",
-        ]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestHellinger:
