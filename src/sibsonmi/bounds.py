@@ -25,6 +25,7 @@ from .core import (
     EventMask,
     Joint3,
     Joint4,
+    _order,
     require_conformal,
 )
 from .errors import PreconditionError, ValidationError
@@ -76,18 +77,16 @@ def _report(which, a, lhs, rhs, vacuous=False, uninformative=False):
 def _holder_bound(which, j: Joint3, e: EventMask, a, slice_mass, measure):
     """P(E) against slice_mass(j, e)^((a-1)/a) e^((a-1)/a measure(j, a)).
 
-    The shared body of the two finite-order bounds, which differ only in
-    the slice-mass factor and the matching conditional measure.  Orders
-    must be finite and at least 1.
+    The shared body of ``bound_thm1`` and ``bound_thm3`` (by ``which``),
+    which differ only in the slice-mass factor and the matching
+    conditional measure.  Orders must be finite and above 1.
     """
-    a = Alpha.coerce(a)
-    if not a.is_finite or a.value < 1.0:
-        raise ValidationError("this bound needs a finite order >= 1")
+    a = _order(a, f"bound_{which.lower()}", above_one=True)
     require_conformal(e, j)
     av = a.value
     uninformative = av <= 1.0 + UNINFORMATIVE_GAP
     lhs = event_probability(j, e)
-    if av > 1 and not _product_dominates(j):
+    if not _product_dominates(j):
         return _report(which, a, lhs, math.inf, vacuous=True, uninformative=uninformative)
     frac = (av - 1.0) / av
     rhs = slice_mass(j, e) ** frac * math.exp(frac * measure(j, a).value_nats)
@@ -165,10 +164,9 @@ def bound_cor_sdpi(j4: Joint4, e: EventMask, a, eta: float) -> BoundReport:
     order-a Hellinger contraction of the X -> Y channel for the slack
     guarantee to apply.  The measure in the exponent is the Z-minimised
     one of the (W, X, Z) marginal, so the event side never sees X.
+    Orders must be finite and above 1.
     """
-    a = Alpha.coerce(a)
-    if not a.is_finite or a.value <= 1.0:
-        raise ValidationError("the contraction bound needs a finite order > 1")
+    a = _order(a, "bound_cor_sdpi", above_one=True)
     if not 0.0 < eta <= 1.0 + 1e-9:
         raise ValidationError(f"eta must lie in (0, 1], got {eta!r}")
     if not j4.is_markov_zw_x_y():

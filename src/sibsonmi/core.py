@@ -59,6 +59,22 @@ def _check_measure(values: np.ndarray, what: str) -> None:
         )
 
 
+def _as_array(measure) -> np.ndarray:
+    """A Pmf, a joint or an array-like as a float64 array, unchecked."""
+    return np.asarray(measure.probs if hasattr(measure, "probs") else measure, dtype=float)
+
+
+def _weights(weights, n: int) -> np.ndarray:
+    """One weight per each of ``n`` measures: a measure of positive mass."""
+    w = np.array(weights, dtype=float)
+    if w.shape != (n,):
+        raise ShapeMismatchError(f"{n} measures need one weight each, got shape {w.shape}")
+    _check_measure(w, "weights")
+    if not w.sum() > 0:
+        raise ValidationError("weights need a positive sum")
+    return w
+
+
 def _check_mass(probs: np.ndarray, what: str) -> None:
     _check_measure(probs, what)
     total = float(probs.sum())
@@ -191,6 +207,17 @@ Alpha.ONE = _symbolic_alpha(1.0)
 Alpha.INFINITY = _symbolic_alpha(math.inf)
 
 
+def _order(a, what: str, above_one: bool = False, sup: bool = False) -> Alpha:
+    """``Alpha.coerce(a)`` if the function ``what`` is defined on it: a
+    finite order, above 1 with ``above_one``, or with ``sup`` the sup order;
+    any other order raises ``ValidationError`` naming ``what`` and it."""
+    a = Alpha.coerce(a)
+    if (a.is_finite and (a.value > 1.0 or not above_one)) or (sup and a.is_inf):
+        return a
+    orders = ("an order" if sup else "a finite order") + (" above 1" if above_one else "")
+    raise ValidationError(f"{what} needs {orders}, got order {a}")
+
+
 class Pmf:
     """Probability vector over a finite, ordered, labelled alphabet."""
 
@@ -263,9 +290,7 @@ class Kernel:
             reach = np.array(reachable, dtype=bool)
             if reach.shape != (len(self.in_labels),):
                 raise ShapeMismatchError("reachable flag has wrong length")
-        _check_finite(r, "kernel")
-        if np.any(r < 0):
-            raise ValidationError("kernel rows must be nonnegative")
+        _check_measure(r, "kernel")
         sums = r.sum(axis=1)
         if np.any(np.abs(sums[reach] - 1.0) > MASS_TOL):
             raise ValidationError(
@@ -519,8 +544,7 @@ def markov_product(j: Joint3) -> Joint3:
 
 def absolutely_continuous(p, q) -> bool:
     """True iff every cell where q vanishes carries no p-mass."""
-    pa = p.probs if hasattr(p, "probs") else np.asarray(p, dtype=float)
-    qa = q.probs if hasattr(q, "probs") else np.asarray(q, dtype=float)
+    pa, qa = _as_array(p), _as_array(q)
     if pa.shape != qa.shape:
         raise ShapeMismatchError(
             f"shapes {pa.shape} and {qa.shape} do not match"
@@ -529,12 +553,15 @@ def absolutely_continuous(p, q) -> bool:
 
 
 class EventMask:
-    """Subset of X x Y x Z as a boolean array conformal with a Joint3."""
+    """Subset of X x Y x Z as a boolean array conformal with a Joint3;
+    any other dtype raises ``ValidationError`` rather than being cast."""
 
     __slots__ = ("mask",)
 
     def __init__(self, mask):
-        m = np.array(mask, dtype=bool)
+        m = np.array(mask)
+        if m.dtype != bool:
+            raise ValidationError(f"event mask must be boolean, got dtype {m.dtype}")
         if m.ndim != 3:
             raise ShapeMismatchError(
                 f"event mask must be 3-dimensional, got {m.ndim}"

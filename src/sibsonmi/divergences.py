@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alpha, _check_measure, _log
+from .core import Alpha, _as_array, _check_measure, _log, _order
 from .errors import PreconditionError, ShapeMismatchError, ValidationError
 
 _NEG_CLAMP = 1e-12
@@ -65,16 +65,10 @@ def _log_power_sum(lp, lq, av: float, axis=None):
     return _logsumexp(av * lp + (1.0 - av) * lq, axis=axis, overwrite=True)
 
 
-def _flat(measure) -> np.ndarray:
-    """Flatten a Pmf / Joint2 / Joint3 / array into a 1-d mass vector."""
-    a = measure.probs if hasattr(measure, "probs") else measure
-    return np.asarray(a, dtype=float).ravel()
-
-
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     """Both measures as flat arrays on one alphabet; a negative or
     non-finite entry is a ``ValidationError``."""
-    pa, qa = _flat(p), _flat(q)
+    pa, qa = _as_array(p).ravel(), _as_array(q).ravel()
     if pa.shape != qa.shape:
         raise ShapeMismatchError(
             f"measures live on different alphabets: {pa.shape} vs {qa.shape}"
@@ -172,9 +166,7 @@ def hellinger_integral(p, q, a) -> float:
     Equals exp((a-1) * renyi_divergence(p, q, a)); above order 1 it is
     >= 1 by Jensen, below order 1 the same argument flips it to <= 1.
     """
-    a = Alpha.coerce(a)
-    if not a.is_finite:
-        raise ValidationError("the Hellinger integral needs a finite order")
+    a = _order(a, "hellinger_integral")
     pa, qa = _pair(p, q)
     return _exp(float(_log_hellinger_rows(pa[None], qa[None], a.value)[0]))
 

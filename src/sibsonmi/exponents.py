@@ -140,8 +140,10 @@ def ep_biconjugate(j: Joint3, e_q: float, alpha_grid=None) -> GridMax:
     """max over the order grid of ((1-a)/a) (I^Z - E_Q).
 
     The a = 1 point contributes exactly 0 (its factor vanishes);
-    nonincreasing in ``e_q``.
+    nonincreasing in ``e_q``.  A NaN ``e_q`` raises ValidationError.
     """
+    if math.isnan(e_q):  # every a != 1 value would be NaN, which _grid_max skips
+        raise ValidationError("ep_biconjugate needs a number for e_q, got nan")
     grid = _check_grid(alpha_grid)
     values = np.zeros(len(grid))
     inner = grid != 1.0
@@ -155,8 +157,10 @@ def eq_biconjugate(j: Joint3, e_p: float, alpha_grid=None) -> GridMax:
 
     At a = 1 the coefficient blows up, so that point enters only when
     E_P = 0, where it contributes the order-1 value I(X;Y|Z);
-    nonincreasing in ``e_p``.
+    nonincreasing in ``e_p``.  A NaN ``e_p`` raises ValidationError.
     """
+    if math.isnan(e_p):
+        raise ValidationError("eq_biconjugate needs a number for e_p, got nan")
     grid = _check_grid(alpha_grid)
     inner = grid != 1.0
     values = np.full(len(grid), -math.inf)

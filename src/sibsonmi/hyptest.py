@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_CELL_CAP, Alpha, Joint3
+from .core import DEFAULT_CELL_CAP, Alpha, Joint3, _as_array, _order
 from .errors import (
     InequalityViolation,
     ResourceLimitError,
@@ -211,10 +211,8 @@ def exact_errors(
         # P_Z is the last grid row
         p1, tie_mass = min(out[-1, 2], 1.0), max(out[:, 1].max(), out[-1, 3])
         type2 = np.clip(out[:, 0], 0.0, 1.0)
-    rows = []
-    for qz, t2 in zip(grid, type2.tolist()):
-        rate = 0.0 if t2 >= 1.0 else (math.inf if t2 <= 0 else -math.log(t2) / n)
-        rows.append(QzRow(qz=tuple(float(v) for v in qz), type2=t2, rate=rate))
+    rows = [QzRow(qz=tuple(float(v) for v in qz), type2=t2, rate=_rate(t2, n))
+            for qz, t2 in zip(grid, type2.tolist())]
     return ErrorReport(
         p1=float(p1),
         p2_worst=max(r.type2 for r in rows),
@@ -224,6 +222,11 @@ def exact_errors(
         qz_table=tuple(rows),
         tie_mass=float(tie_mass),
     )
+
+
+def _rate(type2: float, n: int) -> float:
+    """-(1/n) log type2: 0 (never -0) for a type-2 error of 1, +inf for 0."""
+    return 0.0 if type2 >= 1.0 else (math.inf if type2 <= 0 else -math.log(type2) / n)
 
 
 def _agresti_coull_halfwidth(successes: float, trials: int) -> float:
@@ -268,17 +271,16 @@ def monte_carlo_errors(
     p1 = p1_hits / trials
     rows = []
     for qz in qz_list:
-        qz_arr = np.asarray(qz.probs if hasattr(qz, "probs") else qz, dtype=float)
+        qz_arr = _as_array(qz)
         _check_reach(j, qz_arr)
         alt_sums = sample_sums(np.einsum("zx,zy,z->xyz", s.cx, s.cy, qz_arr).ravel())
         hits = int(np.count_nonzero(alt_sums >= n * tau))
         type2 = hits / trials
-        rate = math.inf if type2 <= 0 else -math.log(type2) / n
         rows.append(
             QzRow(
                 qz=tuple(float(v) for v in qz_arr),
                 type2=type2,
-                rate=rate,
+                rate=_rate(type2, n),
                 halfwidth=_agresti_coull_halfwidth(hits, trials),
             )
         )
@@ -325,13 +327,6 @@ class Theorem6Report:
 
 def _alpha_frac(a: Alpha) -> float:
     return 1.0 if a.is_inf else (a.value - 1.0) / a.value
-
-
-def _order_above_one(a) -> Alpha:
-    a = Alpha.coerce(a)
-    if a.is_one or (a.is_finite and a.value <= 1.0):
-        raise ValidationError("the decay bound needs an order above 1")
-    return a
 
 
 def _structurally_silent(test: ThresholdTest) -> bool:
@@ -414,7 +409,7 @@ def theorem6_check(
     all (then the type-2 error vanishes identically).  Uncertified
     reports carry no assertion.  With ``claimed_rate=None`` the claim is
     the grid rate minus the margin.  Raises InequalityViolation if a
-    certified check fails beyond 1e-9.
+    certified check fails beyond 1e-9, or has a NaN side.
     """
     return theorem6_checks(j, test, [a], qz_grid_step, claimed_rate)[1][0]
 
@@ -429,20 +424,20 @@ def theorem6_checks(
     """The decay check of ``theorem6_check`` at several orders from one
     exact-error table; return that table and one report per order.
 
-    Every order (above 1) and the claim (not NaN) are validated before
-    anything is priced, so a bad argument raises ValidationError without
-    running ``exact_errors``, which then runs once for all the orders,
-    even for none; I^Z at the finite orders comes from one grid call.
-    Raises InequalityViolation at the first certified order whose check
-    fails beyond 1e-9.
+    Every order (above 1, or the sup order) and the claim (not NaN) are
+    validated before anything is priced, so a bad argument raises
+    ValidationError without running ``exact_errors``, which then runs
+    once for all the orders, even for none; I^Z at the finite orders
+    comes from one grid call.  Raises InequalityViolation at the first
+    certified order whose check fails beyond 1e-9 or has a NaN side.
     """
-    alphas = [_order_above_one(a) for a in alphas]
+    alphas = [_order(a, "theorem6_checks", above_one=True, sup=True) for a in alphas]
     _checked_claim(claimed_rate)
     er = exact_errors(j, test, qz_grid_step=qz_grid_step)
     reports = []
     for a, i_z in zip(alphas, _cond_z_at(j, alphas)):
         report = _decay_report(test, a, er, i_z, claimed_rate)
-        if report.certified and report.lhs > report.rhs + CHECK_TOL:
+        if report.certified and not report.lhs <= report.rhs + CHECK_TOL:
             raise InequalityViolation(
                 f"decay bound failed at n={test.n}, order {a}: "
                 f"{report.lhs!r} > {report.rhs!r}"
@@ -477,13 +472,13 @@ def exponent_sweep(
     """Tabulate empirical decay exponents against the per-order bounds.
 
     One exact-error computation per n and one I^Z per order, the finite
-    orders priced in one grid call; the order grid (finite > 1 and the
-    symbolic sup order are both allowed) then prices the bound exponent
+    orders priced in one grid call; the order grid (finite orders above 1
+    and the sup order) then prices the bound exponent
     -((a-1)/a)(R - I^Z) without asserting it.
     ``best_bound`` optimises over the grid for each n, so it is at most
     every single-order bound.
     """
-    alphas = [_order_above_one(a) for a in a_grid]
+    alphas = [_order(a, "exponent_sweep", above_one=True, sup=True) for a in a_grid]
     i_z = _cond_z_at(j, alphas)
     rows = []
     best = []

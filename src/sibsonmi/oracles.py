@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Alpha, Joint3
+from .core import Joint3, _as_array, _order, _weights
 from .errors import ResourceLimitError, ValidationError
 
 GRID_POINT_CAP = 5_000_000
@@ -317,13 +317,6 @@ def batch_renyi_from_defs(p_flat: np.ndarray, ms: np.ndarray, av: float):
     return _renyi_from_sums(_power_sums(p_flat, ms, av), av)
 
 
-def _finite_alpha(a) -> float:
-    a = Alpha.coerce(a)
-    if not a.is_finite:
-        raise ValidationError("the grid oracle handles finite orders only")
-    return a.value
-
-
 def _auto_step(dim: int, step: float | None) -> float:
     """1e-3 for simplexes of up to 3 coordinates, coarser above (the
     polish pass recovers the lost digits)."""
@@ -352,9 +345,9 @@ def cond_z_oracles(joints, a, step: float | None = None):
     The joints must share one shape.  Joints with the same number of
     reachable z form one ``minimize_on_simplexes`` call, so each result
     is bit-identical to the single call.  Returns one
-    ``(value, argmin_q)`` per joint, in order.
+    ``(value, argmin_q)`` per joint, in order.  The order must be finite.
     """
-    av = _finite_alpha(a)
+    av = _order(a, "cond_z_oracles").value
     joints, (_, _, nz) = _one_shape(joints)
     probs, conds, idxs = [], [], []
     for j in joints:
@@ -407,7 +400,7 @@ def cond_ygz_oracles(joints, a, step: float | None = None):
     result is bit-identical to the single call.  Returns one
     ``(value, rows)`` per joint, in order.
     """
-    av = _finite_alpha(a)
+    av = _order(a, "cond_ygz_oracles").value
     joints, (_, ny, nz) = _one_shape(joints)
     sign = 1.0 if av > 1 else -1.0
     p_blocks, bases, reaches = [], [], []
@@ -457,15 +450,12 @@ def min_weighted_radius(measures, weights, a, step: float | None = None):
 
     The inner sum is exp((a-1) D_a(mu_i || nu)) written out; this is the
     numeric minimisation behind the information radius.  Returns
-    ``(value, argmin_nu)``.
+    ``(value, argmin_nu)``.  The order must be finite, and the weights
+    pass ``info_radius``'s gate.
     """
-    av = _finite_alpha(a)
-    mus = np.asarray([_as_probs(m) for m in measures], dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (mus.shape[0],):
-        raise ValidationError("one weight per measure is required")
-    if np.any(w < 0) or not w.sum() > 0:
-        raise ValidationError("weights must be nonnegative with positive sum")
+    av = _order(a, "min_weighted_radius").value
+    mus = np.asarray([_as_array(m) for m in measures], dtype=float)
+    w = _weights(weights, mus.shape[0])
     dim = mus.shape[1]
     step = _auto_step(dim, step)
     active = w > 0  # zero-weight measures drop out before any inf arithmetic
@@ -477,7 +467,3 @@ def min_weighted_radius(measures, weights, a, step: float | None = None):
 
     nu, val = minimize_on_simplex(f_batch, dim, step=step)
     return val, nu
-
-
-def _as_probs(m) -> np.ndarray:
-    return np.asarray(m.probs if hasattr(m, "probs") else m, dtype=float)

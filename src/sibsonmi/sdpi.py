@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CELL_CAP, MARKOV_TOL, Alpha, Joint2, Joint4, Kernel
+from .core import DEFAULT_CELL_CAP, MARKOV_TOL, Alpha, Joint2, Joint4, Kernel, _order
 from .errors import (
     InequalityViolation,
     PreconditionError,
@@ -156,11 +156,9 @@ def contraction_searches(
     a live start (one that improved in every sweep before).
     budget * max(d, m) above DEFAULT_CELL_CAP raises ResourceLimitError
     before sampling, so neither the sampled inputs nor their images pass
-    the cap.
+    the cap.  The order must be finite and above 1.
     """
-    a = Alpha.coerce(a)
-    if not a.is_finite or a.value <= 1.0:
-        raise ValidationError("contraction search needs a finite order > 1")
+    a = _order(a, "contraction_searches", above_one=True)
     if budget < 1:
         raise ValidationError("budget must be at least 1")
     kernels, seeds = list(kernels), list(seeds)
@@ -271,17 +269,15 @@ def _log_eta(est: ContractionEstimate, a: Alpha) -> float:
 
 
 def _additive_check(what: str, a, est: ContractionEstimate, measure, joints):
-    """The shared body of the two additive checks: ``joints()`` checks the
+    """The shared body of ``sdpi_{what}_check``: ``joints()`` checks the
     caller's preconditions after the order check and returns the joints
-    whose measures make lhs and rhs."""
-    a = Alpha.coerce(a)
-    if not a.is_finite or a.value <= 1.0:
-        raise ValidationError("the additive inequality needs a finite order > 1")
+    whose measures make lhs and rhs; a NaN side fails the check."""
+    a = _order(a, f"sdpi_{what}_check", above_one=True)
     smaller, larger = joints()
     log_eta = _log_eta(est, a)
     lhs = measure(smaller, a).value_nats
     rhs = log_eta / (a.value - 1.0) + measure(larger, a).value_nats
-    if lhs > rhs + CHECK_TOL:
+    if not lhs <= rhs + CHECK_TOL:
         raise InequalityViolation(
             f"{what} contraction check failed: {lhs!r} > {rhs!r} + {CHECK_TOL}"
         )
@@ -296,7 +292,8 @@ def sdpi_conditional_check(
     Checks I^Z(W,Y|Z) <= log(eta)/(a-1) + I^Z(W,X|Z) with eta the
     searched lower bound for the X -> Y channel's literal ratio (so data
     processing tightened by the search shortfall; see the module notes).
-    Raises InequalityViolation beyond 1e-9, else returns ``(lhs, rhs)``.
+    Raises InequalityViolation unless lhs <= rhs + 1e-9 (a NaN side
+    fails), else returns ``(lhs, rhs)``.
     """
 
     def joints():

@@ -25,6 +25,8 @@ from .core import (
     Kernel,
     Pmf,
     _log,
+    _order,
+    _weights,
     tensor_power,
 )
 from .divergences import _exp, _log_hellinger_rows, _log_power_sum, _logsumexp
@@ -171,14 +173,11 @@ def info_radius(measures, weights, a) -> float:
     Sibson's identity: (a/(a-1)) log sum_x (sum_i w_i mu_i(x)^a)^(1/a),
     attained at nu prop. to the inner sum to the power 1/a.  For weights
     summing to 1 this is ``sibson_mi`` of the joint w_i mu_i(x); a total
-    W adds log(W)/(a-1).  Measures are pmfs or arrays on one alphabet,
-    weights nonnegative with a positive sum.
+    W adds log(W)/(a-1).  Measures are pmfs or arrays on one alphabet;
+    weights pass the weights gate of ``min_weighted_radius`` too.
     """
-    a = Alpha.coerce(a)
-    if not (a.is_finite and a.value > 1):
-        raise ValidationError("the information radius needs a finite order > 1")
+    av = _order(a, "info_radius", above_one=True).value
     mus, w = _radius_family(measures, weights)
-    av = a.value
     log_b = _logsumexp(_log(w)[:, None] + av * _log(mus), axis=0)
     return av / (av - 1.0) * _logsumexp(log_b / av)
 
@@ -187,13 +186,10 @@ def _radius_family(measures, weights) -> tuple[np.ndarray, np.ndarray]:
     """The measures, each validated as a pmf, as one (n, k) array, and
     the weights."""
     pmfs = [m if isinstance(m, Pmf) else Pmf(range(np.size(m)), m) for m in measures]
-    w = np.array(weights, dtype=float)
     labelled = {m.labels for m in measures if isinstance(m, Pmf)}
-    if len(labelled) > 1 or len({len(m) for m in pmfs}) > 1 or w.shape != (len(pmfs),):
-        raise ShapeMismatchError("need measures on one alphabet and one weight each")
-    if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
-        raise ValidationError("weights must be finite and nonnegative with a positive sum")
-    return np.stack([m.probs for m in pmfs]), w
+    if len(labelled) > 1 or len({len(m) for m in pmfs}) > 1:
+        raise ShapeMismatchError("need measures on one alphabet")
+    return np.stack([m.probs for m in pmfs]), _weights(weights, len(pmfs))
 
 
 def cond_sibson_z(j: Joint3, a) -> MiReport:
@@ -357,11 +353,9 @@ def lmgf_representation(j: Joint3, a) -> tuple[float, float, float]:
     the route through per-z Hellinger integrals
     (a/(a-1)) log E_Z[(E_prod[(dP/dprod)^a])^(1/a)].  The second and
     third come from one call of the divergence module's row kernel over
-    the reachable z, not from the closed form.
+    the reachable z, not from the closed form.  Orders must exceed 1.
     """
-    a = Alpha.coerce(a)
-    if not (a.is_finite and a.value > 1):
-        raise ValidationError("the representation identity needs a finite order > 1")
+    a = _order(a, "lmgf_representation", above_one=True)
     av = a.value
     lhs = cond_sibson_z(j, a).value_nats
     s = j._z_structure()
@@ -382,10 +376,9 @@ def lmgf_representation(j: Joint3, a) -> tuple[float, float, float]:
 def additivity_check(j: Joint3, a, n: int):
     """Tensorisation probe: the Z-minimised measure of the n-fold power
     against n times the single-letter value.  Returns ``(lhs, rhs)``.
+    The order must be finite.
     """
-    a = Alpha.coerce(a)
-    if not a.is_finite:
-        raise ValidationError("the additivity probe needs a finite order")
+    a = _order(a, "additivity_check")
     lhs = cond_sibson_z(tensor_power(j, n), a).value_nats
     rhs = n * cond_sibson_z(j, a).value_nats
     return lhs, rhs

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from sibsonmi.core import EventMask, Joint2, Joint3, Kernel, require_conformal
+from sibsonmi.core import EventMask, Joint2, Joint3, Kernel, _order, require_conformal
 from sibsonmi.errors import ShapeMismatchError
 from sibsonmi.instances import reference_joint
 from sibsonmi.oracles import (
     _auto_step,
-    _finite_alpha,
     batch_renyi_from_defs,
     minimize_on_simplex,
 )
@@ -64,7 +63,7 @@ def sibson_mi_oracle(jxy: Joint2, a, step: float | None = None):
     """min over output pmfs Q of D_a(P_XY || P_X x Q), definitionally,
     on the simplex grid of the oracles.  Returns ``(value, argmin_q)``.
     """
-    av = _finite_alpha(a)
+    av = _order(a, "sibson_mi_oracle").value
     p = jxy.probs.ravel()
     px = jxy.probs.sum(axis=1)
     ny = jxy.probs.shape[1]

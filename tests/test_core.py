@@ -31,7 +31,13 @@ from sibsonmi.errors import (
     ShapeMismatchError,
     ValidationError,
 )
+from sibsonmi.bounds import bound_cor_sdpi, bound_thm1, bound_thm3
+from sibsonmi.divergences import hellinger_integral
+from sibsonmi.hyptest import exponent_sweep, theorem6_checks, threshold_test
 from sibsonmi.instances import random_joint3, random_markov_joint
+from sibsonmi.oracles import cond_ygz_oracle, cond_z_oracle, min_weighted_radius
+from sibsonmi.sdpi import contraction_search, sdpi_conditional_check
+from sibsonmi.sibson import additivity_check, info_radius, lmgf_representation
 
 
 def uniform_joint(shape=(2, 2, 2)):
@@ -95,6 +101,18 @@ class TestValidation:
         for build in builders:
             with pytest.raises(ValidationError, match="non-finite"):
                 build()
+
+    def test_kernel_rows_are_checked_as_measures(self):
+        with pytest.raises(ValidationError) as info:
+            Kernel(("0", "1"), ("0", "1"), [[0.5, 0.5], [1.5, -0.5]])
+        assert str(info.value) == "kernel violates nonnegativity: entry (1, 1) = -0.5"
+
+    def test_event_mask_must_be_boolean(self, ref):
+        # a float mask used to be cast, every nonzero cell counted in
+        with pytest.raises(ValidationError, match="^event mask must be boolean, got dtype float64$"):
+            bound_thm3(ref, EventMask(np.full(ref.shape, 0.5)), 2)
+        with pytest.raises(ValidationError, match="dtype int64"):
+            EventMask(np.ones(ref.shape, dtype=np.int64))
 
     def test_kernel_rows_must_be_stochastic(self):
         with pytest.raises(ValidationError):
@@ -331,6 +349,59 @@ class TestMarkovProduct:
             j = random_joint3(rng, (2, 2, 3), zero_cells=int(rng.integers(0, 4)))
             m = markov_product(j)
             assert np.allclose(markov_product(m).probs, m.probs, atol=1e-12)
+
+
+def _full(j):
+    return EventMask.full(j.shape)
+
+
+# every order gate is core._order, whose message names the function and
+# the order it got
+ORDER_GATES = [
+    (lambda j: info_radius([[0.5, 0.5]], [1.0], 0.5), "info_radius needs a finite order above 1, got order 0.5"),
+    (lambda j: lmgf_representation(j, "one"), "lmgf_representation needs a finite order above 1, got order one"),
+    (lambda j: additivity_check(j, "inf", 2), "additivity_check needs a finite order, got order inf"),
+    (lambda j: contraction_search(Kernel(("0",), ("0",), [[1.0]]), 0.5),
+     "contraction_searches needs a finite order above 1, got order 0.5"),
+    (lambda j: sdpi_conditional_check(None, "inf", None),
+     "sdpi_conditional_check needs a finite order above 1, got order inf"),
+    (lambda j: bound_thm1(j, _full(j), 1.0), "bound_thm1 needs a finite order above 1, got order one"),
+    (lambda j: bound_thm3(j, _full(j), 0.5), "bound_thm3 needs a finite order above 1, got order 0.5"),
+    (lambda j: bound_cor_sdpi(None, None, 0.25, 1.0), "bound_cor_sdpi needs a finite order above 1, got order 0.25"),
+    (lambda j: hellinger_integral([0.5, 0.5], [0.5, 0.5], "inf"), "hellinger_integral needs a finite order, got order inf"),
+    (lambda j: cond_z_oracle(j, "one"), "cond_z_oracles needs a finite order, got order one"),
+    (lambda j: cond_ygz_oracle(j, "inf"), "cond_ygz_oracles needs a finite order, got order inf"),
+    (lambda j: min_weighted_radius([[0.5, 0.5]], [1.0], 1.0), "min_weighted_radius needs a finite order, got order one"),
+    (lambda j: theorem6_checks(j, threshold_test(j, 0.5, 2), [2.0, 0.5]),
+     "theorem6_checks needs an order above 1, got order 0.5"),
+    (lambda j: exponent_sweep(j, threshold_test(j, 0.5, 2), ["inf", "one"], [2]),
+     "exponent_sweep needs an order above 1, got order one"),
+]
+
+
+class TestEntryGates:
+    @pytest.mark.parametrize("call, message", ORDER_GATES,
+                             ids=[m.split()[0] for _, m in ORDER_GATES])
+    def test_orders_out_of_range_name_function_and_order(self, ref, call, message):
+        with pytest.raises(ValidationError) as info:
+            call(ref)
+        assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights, error, message", [
+        ([math.inf, 1.0], ValidationError, "weights has a non-finite entry (0,) = inf"),
+        ([math.nan, 1.0], ValidationError, "weights has a non-finite entry (0,) = nan"),
+        ([1.0, -0.5], ValidationError, "weights violates nonnegativity: entry (1,) = -0.5"),
+        ([0.0, 0.0], ValidationError, "weights need a positive sum"),
+        ([1.0], ShapeMismatchError, "2 measures need one weight each, got shape (1,)"),
+    ], ids=["inf", "nan", "negative", "zero_sum", "count"])
+    def test_radius_and_its_oracle_share_one_weights_gate(self, weights, error, message):
+        # min_weighted_radius used to price an infinite weight as (inf, [0, 1])
+        measures = [[0.5, 0.5], [0.2, 0.8]]
+        for radius in (info_radius, min_weighted_radius):
+            with pytest.raises(error) as info:
+                radius(measures, weights, 2)
+            assert str(info.value) == message
 
 
 class TestAbsolutelyContinuous:

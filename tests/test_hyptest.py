@@ -289,6 +289,14 @@ class TestMonteCarlo:
         assert mc.p1 == 0.0
         assert mc.p2_worst == 1.0
 
+    def test_type2_of_one_has_the_exact_rate(self, ref):
+        # the sampled rate of a type-2 error of 1 used to be -log(1)/n = -0.0
+        t = threshold_test(ref, -math.inf, 2)
+        mc = monte_carlo_errors(ref, t, [np.array([0.5, 0.5])], 1000, seed=0)
+        er = exact_errors(ref, t)
+        assert math.copysign(1.0, mc.rate_R) == math.copysign(1.0, er.rate_R) == 1.0
+        assert mc.rate_R == er.rate_R == 0.0
+
     def test_deterministic(self, ref):
         t = threshold_test(ref, 0.4, 2)
         qz = [np.array([0.6, 0.4])]
@@ -494,4 +502,15 @@ class TestTheorem6Checks:
         _count_calls(monkeypatch, "cond_sibson_z_values", measure)
         test = threshold_test(ref, 0.5, 3)
         with pytest.raises(InequalityViolation, match="order 4:"):
+            theorem6_checks(ref, test, (2.0, 4.0, 8.0), claimed_rate=0.5)
+
+    def test_a_nan_side_fails_the_check(self, ref, monkeypatch):
+        # a NaN I^Z makes the rhs NaN, which used to pass the check
+        def measure(j, alphas):
+            return np.array([math.nan if a == Alpha(4.0) else cond_sibson_z(j, a).value_nats
+                             for a in alphas])
+
+        _count_calls(monkeypatch, "cond_sibson_z_values", measure)
+        test = threshold_test(ref, 0.5, 3)
+        with pytest.raises(InequalityViolation, match="order 4: .* > nan$"):
             theorem6_checks(ref, test, (2.0, 4.0, 8.0), claimed_rate=0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -392,6 +393,17 @@ class TestUnconditionalCheck:
         est = contraction_search(const, 2, budget=500, seed=0)
         lhs, rhs = sdpi_unconditional_check(jxy, const, 2, est)
         assert abs(lhs) <= 1e-10
+
+    def test_a_nan_side_fails_the_check(self, rng, monkeypatch):
+        # NaN measures make both sides NaN, which used to pass the check
+        jxy = random_joint2(rng, 2, 2)
+        ident = Kernel(jxy.x_labels, ("w0", "w1"), np.eye(2))
+        est = contraction_search(ident, 2, budget=200, seed=0)
+        nan = dataclasses.replace(sibson_mi(jxy, 2), value_nats=math.nan)
+        monkeypatch.setattr(sdpi, "sibson_mi", lambda j, a: nan)
+        with pytest.raises(InequalityViolation,
+                           match="^unconditional contraction check failed: nan > nan"):
+            sdpi_unconditional_check(jxy, ident, 2, est)
 
     def test_random_instances(self, rng):
         for i in range(50):
