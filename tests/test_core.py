@@ -109,7 +109,8 @@ class TestValidation:
 
     def test_event_mask_must_be_boolean(self, ref):
         # a float mask used to be cast, every nonzero cell counted in
-        with pytest.raises(ValidationError, match="^event mask must be boolean, got dtype float64$"):
+        with pytest.raises(ValidationError,
+                           match="^event mask must be boolean, got dtype float64$"):
             bound_thm3(ref, EventMask(np.full(ref.shape, 0.5)), 2)
         with pytest.raises(ValidationError, match="dtype int64"):
             EventMask(np.ones(ref.shape, dtype=np.int64))
@@ -358,20 +359,30 @@ def _full(j):
 # every order gate is core._order, whose message names the function and
 # the order it got
 ORDER_GATES = [
-    (lambda j: info_radius([[0.5, 0.5]], [1.0], 0.5), "info_radius needs a finite order above 1, got order 0.5"),
-    (lambda j: lmgf_representation(j, "one"), "lmgf_representation needs a finite order above 1, got order one"),
-    (lambda j: additivity_check(j, "inf", 2), "additivity_check needs a finite order, got order inf"),
+    (lambda j: info_radius([[0.5, 0.5]], [1.0], 0.5),
+     "info_radius needs a finite order above 1, got order 0.5"),
+    (lambda j: lmgf_representation(j, "one"),
+     "lmgf_representation needs a finite order above 1, got order one"),
+    (lambda j: additivity_check(j, "inf", 2),
+     "additivity_check needs a finite order, got order inf"),
     (lambda j: contraction_search(Kernel(("0",), ("0",), [[1.0]]), 0.5),
      "contraction_searches needs a finite order above 1, got order 0.5"),
     (lambda j: sdpi_conditional_check(None, "inf", None),
      "sdpi_conditional_check needs a finite order above 1, got order inf"),
-    (lambda j: bound_thm1(j, _full(j), 1.0), "bound_thm1 needs a finite order above 1, got order one"),
-    (lambda j: bound_thm3(j, _full(j), 0.5), "bound_thm3 needs a finite order above 1, got order 0.5"),
-    (lambda j: bound_cor_sdpi(None, None, 0.25, 1.0), "bound_cor_sdpi needs a finite order above 1, got order 0.25"),
-    (lambda j: hellinger_integral([0.5, 0.5], [0.5, 0.5], "inf"), "hellinger_integral needs a finite order, got order inf"),
-    (lambda j: cond_z_oracle(j, "one"), "cond_z_oracles needs a finite order, got order one"),
-    (lambda j: cond_ygz_oracle(j, "inf"), "cond_ygz_oracles needs a finite order, got order inf"),
-    (lambda j: min_weighted_radius([[0.5, 0.5]], [1.0], 1.0), "min_weighted_radius needs a finite order, got order one"),
+    (lambda j: bound_thm1(j, _full(j), 1.0),
+     "bound_thm1 needs a finite order above 1, got order one"),
+    (lambda j: bound_thm3(j, _full(j), 0.5),
+     "bound_thm3 needs a finite order above 1, got order 0.5"),
+    (lambda j: bound_cor_sdpi(None, None, 0.25, 1.0),
+     "bound_cor_sdpi needs a finite order above 1, got order 0.25"),
+    (lambda j: hellinger_integral([0.5, 0.5], [0.5, 0.5], "inf"),
+     "hellinger_integral needs a finite order, got order inf"),
+    (lambda j: cond_z_oracle(j, "one"),
+     "cond_z_oracles needs a finite order, got order one"),
+    (lambda j: cond_ygz_oracle(j, "inf"),
+     "cond_ygz_oracles needs a finite order, got order inf"),
+    (lambda j: min_weighted_radius([[0.5, 0.5]], [1.0], 1.0),
+     "min_weighted_radius needs a finite order, got order one"),
     (lambda j: theorem6_checks(j, threshold_test(j, 0.5, 2), [2.0, 0.5]),
      "theorem6_checks needs an order above 1, got order 0.5"),
     (lambda j: exponent_sweep(j, threshold_test(j, 0.5, 2), ["inf", "one"], [2]),

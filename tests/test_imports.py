@@ -38,5 +38,6 @@ def test_module_uses_every_import(module):
 
 
 def test_an_unused_import_is_found():
-    source = "import math\nimport numpy as np\nfrom .core import Alpha, Joint3\nnp.ones(Joint3)\n"
+    source = ("import math\nimport numpy as np\n"
+              "from .core import Alpha, Joint3\nnp.ones(Joint3)\n")
     assert _unused_imports(source) == ["Alpha", "math"]
