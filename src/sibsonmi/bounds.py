@@ -20,15 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MARKOV_TOL,
+    CHECK_TOL,
     Alpha,
     EventMask,
     Joint3,
     Joint4,
     _order,
+    _zw_x_y_chain,
     require_conformal,
 )
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .sibson import cond_maximal_leakage, cond_sibson_ygz, cond_sibson_z
 
 THM1 = "THM1"
@@ -167,13 +168,9 @@ def bound_cor_sdpi(j4: Joint4, e: EventMask, a, eta: float) -> BoundReport:
     Orders must be finite and above 1.
     """
     a = _order(a, "bound_cor_sdpi", above_one=True)
-    if not 0.0 < eta <= 1.0 + 1e-9:
+    if not 0.0 < eta <= 1.0 + CHECK_TOL:
         raise ValidationError(f"eta must lie in (0, 1], got {eta!r}")
-    if not j4.is_markov_zw_x_y():
-        raise PreconditionError(
-            f"joint does not factor as P(w,x,z) P(y|x) within {MARKOV_TOL}"
-        )
-    wyz = j4.marginal_wyz()
+    wyz = _zw_x_y_chain(j4).marginal_wyz()
     require_conformal(e, wyz)
     av = a.value
     lhs = event_probability(wyz, e)

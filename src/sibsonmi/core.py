@@ -20,6 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import (
+    PreconditionError,
     ResourceLimitError,
     ShapeMismatchError,
     ValidationError,
@@ -27,6 +28,7 @@ from .errors import (
 
 MASS_TOL = 1e-12
 MARKOV_TOL = 1e-10  # largest Markov-chain defect accepted as a factorisation
+CHECK_TOL = 1e-9  # slack every checked inequality of the package allows
 DEFAULT_CELL_CAP = 10_000_000
 
 AXES = ("x", "y", "z")
@@ -347,7 +349,8 @@ class _GivenZ:
     a time; ``lpz``, ``lcx`` and ``lcy`` their logs. Zero masses have
     ``lpz`` -inf but ``lcx`` and ``lcy`` 0, so a term weighting
     ``_log(cxy)`` by a positive order is -inf off the support of
-    P(.,.|z) and never NaN.
+    P(.,.|z) and never NaN. ``ratio_block`` is the one per-z ratio
+    P(x,y|z) / (P(x|z) P(y|z)), or its log, on a block.
 
     The rest is filled on first use and kept: ``cxy``, the whole
     P(.,.|z) of ``conditionals_given_z``; ``cmi``, I(X;Y|Z); and
@@ -407,6 +410,31 @@ class _GivenZ:
         out = np.zeros(p.shape)
         np.divide(p, self.pz[b, None, None], out=out,
                   where=self.reach[b, None, None])
+        return out
+
+    def ratio_block(self, b, cxy: np.ndarray, log: bool) -> np.ndarray:
+        """P(x,y|z) / (P(x|z) P(y|z)) on the z symbols ``b``, whose
+        ``cxy_block(b)`` is ``cxy``, where P(x,y|z) > 0 and 0 elsewhere,
+        or with ``log`` its log and 0 elsewhere. A cell whose product
+        underflows to 0 under a positive P(x,y|z) takes its log-ratio from
+        logs, log P(x,y|z) - log P(x|z) - log P(y|z), and its ratio reads inf
+        where that log passes the float range; every other cell is the plain
+        ratio.
+        """
+        prod = self.cx[b, :, None] * self.cy[b, None, :]
+        pos, ok = cxy > 0, prod > 0
+        out = np.full(cxy.shape, 1.0 if log else 0.0)
+        np.divide(cxy, prod, out=out, where=pos & ok)
+        if log:
+            np.log(out, out=out)
+        under = pos & ~ok
+        if under.any():
+            z, x, y = np.nonzero(under)
+            lr = np.log(cxy[z, x, y]) - self.lcx[b][z, x] - self.lcy[b][z, y]
+            if not log:
+                with np.errstate(over="ignore"):
+                    lr = np.exp(lr)
+            out[z, x, y] = lr
         return out
 
 
@@ -692,22 +720,32 @@ class Joint4:
         return f"Joint4(shape={self.shape})"
 
 
+def _zw_x_y_chain(j4: Joint4) -> Joint4:
+    """``j4`` if it is a (Z,W) - X - Y chain within MARKOV_TOL, else PreconditionError."""
+    if not j4.is_markov_zw_x_y():
+        raise PreconditionError(f"joint does not factor as P(w,x,z) P(y|x) within {MARKOV_TOL}")
+    return j4
+
+
+def _channel(channel: Kernel, x_labels: tuple, px: np.ndarray) -> np.ndarray:
+    """The rows of a channel on the X axis of a joint, ``x_labels`` with
+    marginal ``px``; ShapeMismatchError unless that is the channel's input
+    alphabet, ValidationError if X puts mass on an unreachable row."""
+    if channel.in_labels != x_labels:
+        raise ShapeMismatchError("channel input alphabet must equal the joint's X axis")
+    if np.any((px > 0) & ~channel.reachable):
+        raise ValidationError("joint puts mass on an unreachable channel row")
+    return channel.rows
+
+
 def markov_extend(base: Joint3, channel: Kernel) -> Joint4:
     """Attach Y to a (W, X, Z) joint through an X -> Y channel.
 
     ``base`` axes are read as (W, X, Z); the result satisfies the
     (Z,W) - X - Y Markov chain by construction.
     """
-    if channel.in_labels != base.y_labels:
-        raise ShapeMismatchError(
-            "channel input alphabet must equal the joint's middle (X) axis"
-        )
-    px = base.probs.sum(axis=(0, 2))
-    if np.any((px > 0) & ~channel.reachable):
-        raise ValidationError(
-            "joint puts mass on an unreachable channel row"
-        )
-    probs = np.einsum("wxz,xy->wxyz", base.probs, channel.rows)
+    rows = _channel(channel, base.y_labels, base.probs.sum(axis=(0, 2)))
+    probs = np.einsum("wxz,xy->wxyz", base.probs, rows)
     return Joint4(
         base.x_labels, base.y_labels, channel.out_labels, base.z_labels, probs
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_CELL_CAP, Alpha, Joint3, _as_array, _order
+from .core import CHECK_TOL, DEFAULT_CELL_CAP, Alpha, Joint3, _as_array, _check_mass, _order
 from .errors import (
     InequalityViolation,
     ResourceLimitError,
@@ -34,14 +34,13 @@ from .errors import (
     ValidationError,
 )
 from .oracles import simplex_grid
-from .sibson import _ratio_block, cond_sibson_z, cond_sibson_z_values
+from .sibson import cond_sibson_z, cond_sibson_z_values
 
 SCORE_QUANT = 1e-9  # scores are pooled on this lattice before convolution
 STATE_CAP = 10**6
 _LOG_MULT_CAP = 700.0  # n log k >= log Mult(n; m); float max is e^709.78
 EXACT_DP = "EXACT_DP"
 MONTE_CARLO = "MONTE_CARLO"
-CHECK_TOL = 1e-9
 RATE_MARGIN = 1e-3
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -70,7 +69,7 @@ def threshold_test(j: Joint3, tau: float, n: int) -> ThresholdTest:
     scores = np.empty(j.shape)
     for b in s.blocks():
         cxy = s.cxy_block(b)
-        by_z = _ratio_block(s, b, cxy, log=True)
+        by_z = s.ratio_block(b, cxy, log=True)
         by_z[cxy == 0] = -math.inf
         scores[:, :, b] = np.moveaxis(by_z, 0, 2)
     scores.flags.writeable = False
@@ -166,11 +165,19 @@ def _qz_grid(j: Joint3, step: float):
     return grid
 
 
-def _check_reach(j: Joint3, qz: np.ndarray) -> None:
-    if np.any((qz > 0) & ~j._z_structure().reach):
+def _alternative(j: Joint3, qz) -> np.ndarray:
+    """``qz`` as a Q_Z of ``j``'s alternative: one entry per z symbol
+    (else ``ShapeMismatchError``), a pmf with no mass on an unreachable z
+    (else ``ValidationError``)."""
+    q, nz = _as_array(qz), j.shape[2]
+    if q.shape != (nz,):
+        raise ShapeMismatchError(f"Q_Z needs {nz} entries, one per z symbol, got {q.shape}")
+    _check_mass(q, "Q_Z")
+    if np.any((q > 0) & ~j._z_structure().reach):
         raise ValidationError(
             "alternative weights a z symbol with no conditional structure"
         )
+    return q
 
 
 def _check_test(j: Joint3, test: ThresholdTest) -> None:
@@ -198,7 +205,6 @@ def exact_errors(
     n, tau = test.n, test.tau
     typed = None if math.isinf(tau) else _type_tails(j, test, state_cap)
     grid = _qz_grid(j, qz_grid_step)
-    _check_reach(j, grid)
     if typed is None:
         p1, tie_mass = float(tau > 0), 0.0
         type2 = np.full(len(grid), 1.0 - p1)
@@ -246,12 +252,14 @@ def monte_carlo_errors(
     """Seeded sampling estimate of the same quantities at larger n.
 
     Reports point estimates with 95% binomial (Agresti-Coull)
-    half-widths; identical seeds give identical reports.  trials * n
-    above DEFAULT_CELL_CAP raises ResourceLimitError before sampling.
+    half-widths; identical seeds give identical reports.  Every Q_Z of
+    ``qz_list`` passes ``_alternative`` and trials * n above
+    DEFAULT_CELL_CAP raises ResourceLimitError, both before sampling.
     """
     _check_test(j, test)
     if trials < 1:
         raise ValidationError("trials must be at least 1")
+    qzs = [_alternative(j, qz) for qz in qz_list]
     n, tau = test.n, test.tau
     if trials * n > DEFAULT_CELL_CAP:
         raise ResourceLimitError(
@@ -270,9 +278,7 @@ def monte_carlo_errors(
     p1_hits = int(np.count_nonzero(null_sums < n * tau))
     p1 = p1_hits / trials
     rows = []
-    for qz in qz_list:
-        qz_arr = _as_array(qz)
-        _check_reach(j, qz_arr)
+    for qz_arr in qzs:
         alt_sums = sample_sums(np.einsum("zx,zy,z->xyz", s.cx, s.cy, qz_arr).ravel())
         hits = int(np.count_nonzero(alt_sums >= n * tau))
         type2 = hits / trials

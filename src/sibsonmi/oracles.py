@@ -403,30 +403,28 @@ def cond_ygz_oracles(joints, a, step: float | None = None):
     av = _order(a, "cond_ygz_oracles").value
     joints, (_, ny, nz) = _one_shape(joints)
     sign = 1.0 if av > 1 else -1.0
-    p_blocks, bases, reaches = [], [], []
+    p_blocks, bases, idxs = [], [], []
     for j in joints:
         s = j._z_structure()
-        reaches.append(s.reach)
-        for z in np.flatnonzero(s.reach):
-            p_blocks.append(j.probs[:, :, z].ravel())
-            bases.append(s.cx[z][:, None] * s.pz[z])  # P(x|z) P_Z(z), broadcast over y
-    p = np.stack(p_blocks)[:, None, :]
-    base = np.stack(bases)[:, None]
+        idx = np.flatnonzero(s.reach)
+        idxs.append(idx)
+        p_blocks.append(np.moveaxis(j.probs[:, :, idx], 2, 0).reshape(len(idx), -1))
+        # P(x|z) P_Z(z), broadcast over y
+        bases.append(s.cx[idx, :, None] * s.pz[idx, None, None])
+    p = np.concatenate(p_blocks)[:, None, :]
+    base = np.concatenate(bases)[:, None]
 
     def f_stack(rows, qs):
         ms = base[rows] * qs[:, :, None, :]
         return sign * _power_sums(p[rows], ms.reshape(*qs.shape[:2], -1), av)
 
-    q_b, s_b = minimize_on_simplexes(f_stack, len(p_blocks), ny, step=_auto_step(ny, step))
+    q_b, s_b = minimize_on_simplexes(f_stack, len(p), ny, step=_auto_step(ny, step))
     out, first = [], 0
-    for reach in reaches:
-        idx = np.flatnonzero(reach)
+    for idx in idxs:
         kernel_rows = np.zeros((nz, ny))
-        block_sums = np.zeros(nz)
         kernel_rows[idx] = q_b[first:first + len(idx)]
-        block_sums[idx] = sign * s_b[first:first + len(idx)]
+        total = (sign * s_b[first:first + len(idx)]).sum()
         first += len(idx)
-        total = block_sums[reach].sum()
         value = math.log(total) / (av - 1.0) if total > 0 else math.inf
         out.append((value, kernel_rows))
     return out

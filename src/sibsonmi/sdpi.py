@@ -27,17 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CELL_CAP, MARKOV_TOL, Alpha, Joint2, Joint4, Kernel, _order
-from .errors import (
-    InequalityViolation,
-    PreconditionError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .core import (CHECK_TOL, DEFAULT_CELL_CAP, Alpha, Joint2, Joint4, Kernel, _channel,
+                   _order, _zw_x_y_chain)
+from .errors import InequalityViolation, ResourceLimitError, ValidationError
 from .oracles import _power_sums
 from .sibson import cond_sibson_z, sibson_mi
 
-CHECK_TOL = 1e-9
 _ASCENT_FLOOR = 1e-9  # keep ascent iterates strictly inside the simplex
 
 
@@ -171,8 +166,11 @@ def contraction_searches(
     shape = kernels[0].rows.shape
     if any(k.rows.shape != shape for k in kernels):
         raise ValidationError("batched contraction searches need one kernel shape")
-    if not all(np.all(k.reachable) for k in kernels):
-        raise ValidationError("contraction search needs fully reachable rows")
+    for k in kernels:
+        if not k.reachable.all():
+            bad = [k.in_labels[i] for i in np.flatnonzero(~k.reachable)]
+            raise ValidationError(f"contraction search needs fully reachable rows, got "
+                                  f"unreachable input symbols {bad!r}")
     av = a.value
     d, m = shape
     if budget * max(d, m) > DEFAULT_CELL_CAP:
@@ -297,11 +295,7 @@ def sdpi_conditional_check(
     """
 
     def joints():
-        if not j4.is_markov_zw_x_y():
-            raise PreconditionError(
-                f"joint does not factor as P(w,x,z) P(y|x) within {MARKOV_TOL}"
-            )
-        return j4.marginal_wyz(), j4.marginal_wxz()
+        return _zw_x_y_chain(j4).marginal_wyz(), j4.marginal_wxz()
 
     return _additive_check("conditional", a, est, cond_sibson_z, joints)
 
@@ -318,12 +312,8 @@ def sdpi_unconditional_check(
     """
 
     def joints():
-        if channel_wx.in_labels != jxy.x_labels:
-            raise PreconditionError("channel input alphabet must be the X axis")
-        px = jxy.probs.sum(axis=1)
-        if np.any((px > 0) & ~channel_wx.reachable):
-            raise ValidationError("joint puts mass on an unreachable channel row")
-        p_wy = np.einsum("xy,xw->wy", jxy.probs, channel_wx.rows)
+        rows = _channel(channel_wx, jxy.x_labels, jxy.probs.sum(axis=1))
+        p_wy = np.einsum("xy,xw->wy", jxy.probs, rows)
         return Joint2(channel_wx.out_labels, jxy.y_labels, p_wy), jxy
 
     return _additive_check("unconditional", a, est, sibson_mi, joints)

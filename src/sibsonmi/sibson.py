@@ -79,32 +79,6 @@ def shannon_mi(jxy: Joint2) -> float:
     return float(np.sum(pxy * lr))
 
 
-def _ratio_block(s, b, cxy: np.ndarray, log: bool) -> np.ndarray:
-    """P(x,y|z) / (P(x|z) P(y|z)) on the z-block ``b`` of the structure
-    ``s``, whose P(.,.|z) is ``cxy``, where P(x,y|z) > 0 and 0 elsewhere,
-    or with ``log`` its log and 0 elsewhere. A cell whose product
-    underflows to 0 under a positive P(x,y|z) takes its log-ratio from
-    logs, log P(x,y|z) - log P(x|z) - log P(y|z), and its ratio reads inf
-    where that log passes the float range; every other cell is the plain
-    ratio.
-    """
-    prod = s.cx[b, :, None] * s.cy[b, None, :]
-    pos, ok = cxy > 0, prod > 0
-    out = np.full(cxy.shape, 1.0 if log else 0.0)
-    np.divide(cxy, prod, out=out, where=pos & ok)
-    if log:
-        np.log(out, out=out)
-    under = pos & ~ok
-    if under.any():
-        z, x, y = np.nonzero(under)
-        lr = np.log(cxy[z, x, y]) - s.lcx[b][z, x] - s.lcy[b][z, y]
-        if not log:
-            with np.errstate(over="ignore"):
-                lr = np.exp(lr)
-        out[z, x, y] = lr
-    return out
-
-
 def conditional_mi(j: Joint3) -> float:
     """Shannon conditional mutual information I(X;Y|Z), in nats; priced
     once per joint and kept on its structure given z."""
@@ -114,7 +88,7 @@ def conditional_mi(j: Joint3) -> float:
         def mi_terms(b):
             # one log-ratio array per block, then the terms in place
             cxy = s.cxy_block(b)
-            terms = _ratio_block(s, b, cxy, log=True)
+            terms = s.ratio_block(b, cxy, log=True)
             terms *= cxy
             return np.sum(terms, axis=(1, 2))
 
@@ -209,7 +183,7 @@ def cond_sibson_z(j: Joint3, a) -> MiReport:
 
         def max_ratio(b):
             # max over (x, y) of P(x,y|z) / (P(x|z) P(y|z)); 0 if z is unreachable
-            return _ratio_block(s, b, s.cxy_block(b), log=False).max(axis=(1, 2))
+            return s.ratio_block(b, s.cxy_block(b), log=False).max(axis=(1, 2))
 
         m = s.per_z(max_ratio)
         over = np.flatnonzero(np.isinf(m))
@@ -218,12 +192,11 @@ def cond_sibson_z(j: Joint3, a) -> MiReport:
             q = s.pz * m
             return MiReport(a, value, COND_Z, Pmf(j.z_labels, q / q.sum()))
         # a ratio past the float range: the sum in log space, with those
-        # z's maxima taken over their log-ratios
+        # z's maxima taken over their log-ratios on the support of P(.,.|z)
         logits = s.lpz + _log(m)
-        for z in over:
-            b = slice(z, z + 1)
-            cxy = s.cxy_block(b)
-            logits[z] = s.lpz[z] + _ratio_block(s, b, cxy, log=True)[cxy > 0].max()
+        cxy = s.cxy_block(over)
+        lr = s.ratio_block(over, cxy, log=True)
+        logits[over] = s.lpz[over] + lr.max(axis=(1, 2), initial=-math.inf, where=cxy > 0)
         return MiReport(a, _logsumexp(logits), COND_Z, Pmf(j.z_labels, _softmax(logits)))
     logits, values = _cond_z_grid(s, np.array([a.value]))
     return MiReport(a, float(values[0]), COND_Z, Pmf(j.z_labels, _softmax(logits[0])))

@@ -1447,6 +1447,54 @@ def test_usage_error_is_one_error_record(ref_path, capsys, args, message):
     assert record["message"].startswith(message)
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (["bound", "--alpha", "2"], "ValidationError", "the bound command needs --event"),
+        (["bound", "--thm", "3", "--event", "x==y"], "ValidationError",
+         "the bound command needs --alpha"),
+        (["simulate", "--tau", "0.5"], "ValidationError",
+         "the simulate command needs --n and --tau"),
+        (["simulate", "--n", "3"], "ValidationError",
+         "the simulate command needs --n and --tau"),
+        (["bound", "--alpha", "2", "--event", "(x==y x==y"], "EventSyntaxError",
+         "missing closing parenthesis"),
+        (["bound", "--alpha", "2", "--event", "x y"], "EventSyntaxError",
+         "expected == or != after a term, got 'y'"),
+    ],
+    ids=["no_event", "no_alpha", "no_n", "no_tau", "open_paren", "no_operator"],
+)
+def test_command_without_its_values_is_error_record(ref_path, capsys, args, error, message):
+    assert main([*args, "--input", ref_path]) == 2
+    assert _error_record(capsys) == {"error": error, "message": message}
+
+
+def test_sdpi_names_an_unreachable_x_symbol(tmp_path, capsys):
+    # the library's reachable-rows gate is the command's only one
+    doc = dict(base_doc(), x_labels=["a", "b"], probs=[0.25] * 4 + [0.0] * 4)
+    assert main(["sdpi", "--input", write_doc(tmp_path, doc)]) == 2
+    assert _error_record(capsys) == {
+        "error": "ValidationError",
+        "message": "contraction search needs fully reachable rows, "
+                   "got unreachable input symbols ['b']",
+    }
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--alpha", "abc"], "--input is required"),
+        (["--alpha", "abc", "--input", "/no/such/file", "--seed", "-1"],
+         "--seed must be nonnegative, got -1"),
+        (["--alpha", "abc", "--input", "/no/such/file"],
+         "order must be a number, 'one' or 'inf', got 'abc'"),
+    ],
+)
+def test_errors_come_request_then_order_then_load(capsys, args, message):
+    assert main(["measure", *args]) == 2
+    assert _error_record(capsys) == {"error": "ValidationError", "message": message}
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])

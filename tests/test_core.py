@@ -390,7 +390,35 @@ ORDER_GATES = [
 ]
 
 
+# the structure gates of core that no other test reaches
+STRUCTURE_GATES = [
+    (lambda j: Kernel(("0", "1"), ("0",), [[1.0], [1.0], [1.0]]),
+     ShapeMismatchError, "kernel needs shape (2, 1), got (3, 1)"),
+    (lambda j: Kernel(("0", "1"), ("0",), [[1.0], [1.0]], [True]),
+     ShapeMismatchError, "reachable flag has wrong length"),
+    (lambda j: Kernel(("0", "1"), ("0",), [[1.0], [1.0]], [True, False]),
+     ValidationError, "unreachable kernel rows must be all zero"),
+    (lambda j: EventMask(np.ones((2, 2), dtype=bool)),
+     ShapeMismatchError, "event mask must be 3-dimensional, got 2"),
+    (lambda j: tensor_power(j, 0), ValidationError, "tensor power needs n >= 1, got 0"),
+    (lambda j: Pmf((), []), ValidationError, "pmf labels must not be empty"),
+    (lambda j: marginal(j, ["w"]),
+     ShapeMismatchError, "axis must be one of ('x', 'y', 'z'), got 'w'"),
+    (lambda j: conditional(j, "y", "Y"),
+     ShapeMismatchError, "target and conditioning axes must differ"),
+]
+
+
 class TestEntryGates:
+    @pytest.mark.parametrize("call, error, message", STRUCTURE_GATES,
+                             ids=["kernel_shape", "reach_length", "unreachable_row",
+                                  "mask_ndim", "power_n", "empty_labels", "axis_name",
+                                  "same_axes"])
+    def test_structure_gates(self, ref, call, error, message):
+        with pytest.raises(error) as info:
+            call(ref)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("call, message", ORDER_GATES,
                              ids=[m.split()[0] for _, m in ORDER_GATES])
     def test_orders_out_of_range_name_function_and_order(self, ref, call, message):

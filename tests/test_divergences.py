@@ -256,6 +256,11 @@ class TestLimitCheck:
         with pytest.raises(PreconditionError):
             renyi_limit_check(BERN_HALF, [1.0, 0.0], (1e-2,))
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_eps_outside_the_open_unit_interval(self, eps):
+        with pytest.raises(ValidationError, match=rf"^eps values must be in \(0, 1\), got {eps}$"):
+            renyi_limit_check(BERN_HALF, BERN_QUARTER, (1e-2, eps))
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(p=integer_pmfs(4), q=integer_pmfs(4), a=st.sampled_from([0.5, 1.5, 2.0, 8.0]))

@@ -11,6 +11,7 @@ from sibsonmi.core import Alpha, Joint3
 from sibsonmi.errors import (
     InequalityViolation,
     ResourceLimitError,
+    ShapeMismatchError,
     ValidationError,
 )
 from sibsonmi.hyptest import (
@@ -303,6 +304,49 @@ class TestMonteCarlo:
         a = monte_carlo_errors(ref, t, qz, 5000, seed=9)
         b = monte_carlo_errors(ref, t, qz, 5000, seed=9)
         assert a.p1 == b.p1 and a.qz_table == b.qz_table
+
+    @pytest.mark.parametrize("qz, error, message", [
+        # one entry used to broadcast as the uniform Q_Z, reported as (1.0,)
+        ([1.0], ShapeMismatchError, "Q_Z needs 2 entries, one per z symbol, got (1,)"),
+        ([1, 0, 0], ShapeMismatchError, "Q_Z needs 2 entries, one per z symbol, got (3,)"),
+        ([-0.5, 1.5], ValidationError, "Q_Z violates nonnegativity: entry (0,) = -0.5"),
+        ([math.nan, 1], ValidationError, "Q_Z has a non-finite entry (0,) = nan"),
+        ([0, 0], ValidationError,
+         "Q_Z violates normalisation: total mass 0.0 differs from 1 by more than 1e-12"),
+        # used to be priced as (0.5, 0.5) and reported as (2.0, 2.0)
+        ([2, 2], ValidationError,
+         "Q_Z violates normalisation: total mass 4.0 differs from 1 by more than 1e-12"),
+    ], ids=["short", "long", "negative", "nan", "zero", "unnormalised"])
+    def test_each_qz_is_checked_before_sampling(self, ref, qz, error, message):
+        t = threshold_test(ref, 0.5, 3)
+        with pytest.raises(error) as info:
+            monte_carlo_errors(ref, t, [[0.5, 0.5], qz], 100, seed=0)
+        assert str(info.value) == message
+
+    def test_qz_on_an_unreachable_z_is_rejected(self):
+        probs = np.zeros((2, 2, 2))
+        probs[:, :, 0] = 0.25
+        j = Joint3(("0", "1"), ("0", "1"), ("0", "1"), probs)
+        with pytest.raises(ValidationError, match="^alternative weights a z symbol with no "
+                                                   "conditional structure$"):
+            monte_carlo_errors(j, threshold_test(j, 0.5, 2), [[0.5, 0.5]], 100, seed=0)
+
+
+class TestTestGates:
+    def test_score_table_of_another_shape(self, ref):
+        t = threshold_test(random_joint3(np.random.default_rng(0), (2, 3, 2)), 0.5, 2)
+        for call in (lambda: exact_errors(ref, t),
+                     lambda: monte_carlo_errors(ref, t, [[0.5, 0.5]], 100, seed=0)):
+            with pytest.raises(ShapeMismatchError,
+                               match="^score table does not match the joint shape$"):
+                call()
+
+    def test_score_table_of_another_joint_of_the_shape(self, ref):
+        # ref has zero cells, so its scores are -inf where the uniform joint has mass
+        uniform = Joint3(("0", "1"), ("0", "1"), ("0", "1"), np.full((2, 2, 2), 0.125))
+        with pytest.raises(ValidationError,
+                           match="^null distribution puts mass off its own product support$"):
+            exact_errors(uniform, threshold_test(ref, 0.5, 2))
 
 
 class TestTheorem6:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import sibsonmi.oracles as oracles
 from sibsonmi.core import Joint3
-from sibsonmi.errors import ValidationError
+from sibsonmi.errors import ResourceLimitError, ValidationError
 from sibsonmi.instances import random_joint3
 from sibsonmi.oracles import (
     _LINE_POINTS,
@@ -82,6 +82,20 @@ def test_simplex_grid_peak_memory():
     assert peak < 20e6
 
 
+def test_simplex_grid_gates():
+    with pytest.raises(ValidationError, match="^simplex dimension must be at least 1$"):
+        simplex_grid(0)
+    # C(1009, 9) ~ 3e20 points: rejected before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=rf"points \(cap {GRID_POINT_CAP}\)"):
+            simplex_grid(10, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 @pytest.mark.parametrize("av", [0.3, 0.5, 2.0, 4.0])
 def test_power_sums_match_per_cell_loop(av):
     rng = np.random.default_rng(int(av * 10))
@@ -137,7 +151,7 @@ def test_line_search_calls_per_round():
 
 def test_oracles_import_only_core_and_errors():
     # independence from the closed forms is what lets the oracles certify them
-    tree = ast.parse(open(oracles.__file__).read())
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
     local = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sibsonmi import sdpi
-from sibsonmi.core import Alpha, Kernel
+from sibsonmi.bounds import bound_cor_sdpi
+from sibsonmi.core import Alpha, EventMask, Joint3, Joint4, Kernel, markov_extend
 from sibsonmi.errors import (
     InequalityViolation,
     PreconditionError,
     ResourceLimitError,
+    ShapeMismatchError,
     ValidationError,
 )
 from sibsonmi.instances import (
@@ -335,7 +337,6 @@ class TestContractionSearch:
 
 class TestConditionalCheck:
     def test_identity_channel_equality(self, rng):
-        from sibsonmi.core import markov_extend
         from sibsonmi.instances import random_joint3
         from sibsonmi.sibson import cond_sibson_z
 
@@ -349,7 +350,6 @@ class TestConditionalCheck:
         assert abs(lhs - cond_sibson_z(base, 2).value_nats) <= 1e-12
 
     def test_constant_channel_zero_lhs(self, rng):
-        from sibsonmi.core import markov_extend
         from sibsonmi.instances import random_joint3
 
         base = random_joint3(rng, (2, 2, 2))
@@ -369,8 +369,6 @@ class TestConditionalCheck:
                 assert lhs <= rhs + 1e-9
 
     def test_markov_violation_rejected(self, rng):
-        from sibsonmi.core import Joint4
-
         probs = rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2)
         j4 = Joint4(("0", "1"), ("0", "1"), ("0", "1"), ("0", "1"), probs)
         est = contraction_search(binary_kernel(np.eye(2)), 2, budget=10, seed=0)
@@ -431,3 +429,47 @@ class TestUnconditionalCheck:
         channel = random_kernel(rng, 2, 2)
         est = contraction_search(channel, 2, budget=2000, seed=8 + 13)
         sdpi_unconditional_check(jxy, channel, 2, est)
+
+
+class TestGates:
+    """Each precondition of the SDPI checks has one owner, and both of
+    its callers raise its error."""
+
+    def test_unreachable_rows_are_named(self):
+        k = Kernel(("a", "b", "c"), ("0", "1"), [[1, 0], [0, 0], [0, 0]], [True, False, False])
+        with pytest.raises(ValidationError) as info:
+            contraction_search(k, 2, budget=10)
+        assert str(info.value) == ("contraction search needs fully reachable rows, "
+                                   "got unreachable input symbols ['b', 'c']")
+
+    @pytest.mark.parametrize("attach", ["sdpi", "markov_extend"])
+    @pytest.mark.parametrize("case", ["alphabet", "unreachable_row"])
+    def test_channel_gate(self, rng, attach, case):
+        jxy = random_joint2(rng, 2, 2)
+        if case == "alphabet":
+            channel = Kernel(("a", "b"), ("w0", "w1"), np.eye(2))
+            error = ShapeMismatchError
+            message = "channel input alphabet must equal the joint's X axis"
+        else:
+            channel = Kernel(jxy.x_labels, ("w0", "w1"), [[1, 0], [0, 0]], [True, False])
+            error = ValidationError
+            message = "joint puts mass on an unreachable channel row"
+        est = contraction_search(binary_kernel(np.eye(2)), 2, budget=10)
+        with pytest.raises(error) as info:
+            if attach == "sdpi":
+                sdpi_unconditional_check(jxy, channel, 2, est)
+            else:  # the X axis of markov_extend's base is its middle axis
+                base = Joint3(("w",), jxy.x_labels, jxy.y_labels, jxy.probs[None])
+                markov_extend(base, channel)
+        assert str(info.value) == message
+
+    def test_chain_gate(self, rng):
+        probs = rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2)
+        j4 = Joint4(("0", "1"), ("0", "1"), ("0", "1"), ("0", "1"), probs)
+        est = contraction_search(binary_kernel(np.eye(2)), 2, budget=10)
+        message = "joint does not factor as P(w,x,z) P(y|x) within 1e-10"
+        for check in (lambda: sdpi_conditional_check(j4, 2, est),
+                      lambda: bound_cor_sdpi(j4, EventMask.empty((2, 2, 2)), 2, 1.0)):
+            with pytest.raises(PreconditionError) as info:
+                check()
+            assert str(info.value) == message
