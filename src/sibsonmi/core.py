@@ -66,6 +66,23 @@ def _as_array(measure) -> np.ndarray:
     return np.asarray(measure.probs if hasattr(measure, "probs") else measure, dtype=float)
 
 
+def _alphabet(measure) -> tuple | None:
+    """The label tuples a Pmf or a joint carries, one per axis; None for
+    an unlabelled array."""
+    axes = ("labels", "x_labels", "y_labels", "z_labels")
+    return tuple(getattr(measure, a) for a in axes if hasattr(measure, a)) or None
+
+
+def _same_alphabet(a: tuple | None, b: tuple | None) -> None:
+    """The one gate pairing two inputs' labels: alphabets ``a`` and ``b``
+    (as ``_alphabet`` gives them) that are both given must be equal, else
+    ``ShapeMismatchError``. Arrays are read position by position, so a
+    position pairs the same symbol only on one labelled alphabet; an
+    unlabelled input pairs by position and passes."""
+    if a is not None and b is not None and a != b:
+        raise ShapeMismatchError(f"labelled inputs live on different alphabets: {a!r} vs {b!r}")
+
+
 def _weights(weights, n: int) -> np.ndarray:
     """One weight per each of ``n`` measures: a measure of positive mass."""
     w = np.array(weights, dtype=float)
@@ -577,6 +594,7 @@ def absolutely_continuous(p, q) -> bool:
         raise ShapeMismatchError(
             f"shapes {pa.shape} and {qa.shape} do not match"
         )
+    _same_alphabet(_alphabet(p), _alphabet(q))
     return not bool(np.any((qa <= 0) & (pa > 0)))
 
 

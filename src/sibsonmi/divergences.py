@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alpha, _as_array, _check_measure, _log, _order
+from .core import Alpha, _alphabet, _as_array, _check_measure, _log, _order, _same_alphabet
 from .errors import PreconditionError, ShapeMismatchError, ValidationError
 
 _NEG_CLAMP = 1e-12
@@ -66,13 +66,15 @@ def _log_power_sum(lp, lq, av: float, axis=None):
 
 
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Both measures as flat arrays on one alphabet; a negative or
-    non-finite entry is a ``ValidationError``."""
+    """Both measures as flat arrays on one alphabet, which two labelled
+    measures must list alike; a negative or non-finite entry is a
+    ``ValidationError``."""
     pa, qa = _as_array(p).ravel(), _as_array(q).ravel()
     if pa.shape != qa.shape:
         raise ShapeMismatchError(
             f"measures live on different alphabets: {pa.shape} vs {qa.shape}"
         )
+    _same_alphabet(_alphabet(p), _alphabet(q))
     _check_measure(pa, "p")
     _check_measure(qa, "q")
     return pa, qa

@@ -26,7 +26,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CHECK_TOL, DEFAULT_CELL_CAP, Alpha, Joint3, _as_array, _check_mass, _order
+from .core import (
+    CHECK_TOL,
+    DEFAULT_CELL_CAP,
+    Alpha,
+    Joint3,
+    _alphabet,
+    _as_array,
+    _check_mass,
+    _order,
+    _same_alphabet,
+)
 from .errors import (
     InequalityViolation,
     ResourceLimitError,
@@ -166,12 +176,13 @@ def _qz_grid(j: Joint3, step: float):
 
 
 def _alternative(j: Joint3, qz) -> np.ndarray:
-    """``qz`` as a Q_Z of ``j``'s alternative: one entry per z symbol
-    (else ``ShapeMismatchError``), a pmf with no mass on an unreachable z
-    (else ``ValidationError``)."""
+    """``qz`` as a Q_Z of ``j``'s alternative: one entry per z symbol, on
+    ``j``'s z labels if it carries labels (else ``ShapeMismatchError``), a
+    pmf with no mass on an unreachable z (else ``ValidationError``)."""
     q, nz = _as_array(qz), j.shape[2]
     if q.shape != (nz,):
         raise ShapeMismatchError(f"Q_Z needs {nz} entries, one per z symbol, got {q.shape}")
+    _same_alphabet(_alphabet(qz), (j.z_labels,))
     _check_mass(q, "Q_Z")
     if np.any((q > 0) & ~j._z_structure().reach):
         raise ValidationError(

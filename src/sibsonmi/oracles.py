@@ -85,16 +85,16 @@ def simplex_grid(dim: int, step: float = 1e-3) -> np.ndarray:
     exhausting memory.
     """
     m, points = _lattice_size(dim, step)
-    out = _lattice(np.empty((1, 0)), np.full(1, m), dim, points)
-    out /= m
-    return out
+    (grid,) = _grid_slices(dim, m, points)
+    return grid
 
 
 def _grid_slices(dim: int, m: int, cap: int, head=()):
-    """The rows of ``simplex_grid(dim, 1/m)`` in order, as consecutive
-    slices of at most ``cap`` points (the lattice points with leading
-    coordinates ``head`` when given); a grid of at most ``cap`` points
-    is one slice, and the one-point grid of dim 1 is ``[[1.0]]``.
+    """The simplex grid of lattice step 1/m in lexicographic order, as
+    consecutive slices of at most ``cap`` points (the lattice points with
+    leading coordinates ``head`` when given); a grid of at most ``cap``
+    points, ``simplex_grid`` among them, is one slice, and the one-point
+    grid of dim 1 is ``[[1.0]]``.
 
     A slice is a run of values of the next coordinate whose points fit
     the cap together; a value whose points alone pass it is split on

@@ -9,6 +9,11 @@ back into the defining divergence reproduces the reported value (the
 test suite checks this to 1e-8).  Sup-order values always come from
 dedicated max-based formulas, never from a large finite order, so the
 limit claims stay testable instead of circular.
+
+The measures of a ``Joint2`` are the constant-Z case of the kernel-
+minimised measure, priced by its kernels on ``_one_z(jxy)``, so each
+closed form is written once.  ``info_radius`` keeps a log-space form:
+w_i mu_i(x) as a joint could underflow, or overflow in its total.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .core import (
     Joint3,
     Kernel,
     Pmf,
+    _GivenZ,
     _log,
     _order,
     _weights,
@@ -64,25 +70,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def shannon_mi(jxy: Joint2) -> float:
-    """Shannon mutual information of a two-way joint, in nats."""
-    p = jxy.probs
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    pos = p > 0
-    pxy, prod = p[pos], np.outer(px, py)[pos]
-    lr = np.log(np.divide(pxy, prod, out=np.ones_like(pxy), where=prod > 0))
-    u = prod == 0
-    if u.any():  # P(x)P(y) underflows to 0: the log-ratio from logs
-        x, y = (i[u] for i in np.nonzero(pos))
-        lr[u] = np.log(pxy[u]) - np.log(px[x]) - np.log(py[y])
-    return float(np.sum(pxy * lr))
+def _one_z(jxy: Joint2) -> _GivenZ:
+    """The structure given z of ``jxy`` read as a joint with one z symbol:
+    each unconditional measure is its conditional one at constant Z."""
+    return _GivenZ(jxy.probs[:, :, None])
 
 
-def conditional_mi(j: Joint3) -> float:
-    """Shannon conditional mutual information I(X;Y|Z), in nats; priced
-    once per joint and kept on its structure given z."""
-    s = j._z_structure()
+def _cmi(s: _GivenZ) -> float:
+    """I(X;Y|Z) of the structure ``s``, priced once and kept on it."""
     if s.cmi is None:
 
         def mi_terms(b):
@@ -96,6 +91,17 @@ def conditional_mi(j: Joint3) -> float:
     return s.cmi
 
 
+def shannon_mi(jxy: Joint2) -> float:
+    """Shannon mutual information of a two-way joint, in nats."""
+    return _cmi(_one_z(jxy))
+
+
+def conditional_mi(j: Joint3) -> float:
+    """Shannon conditional mutual information I(X;Y|Z), in nats; priced
+    once per joint and kept on its structure given z."""
+    return _cmi(j._z_structure())
+
+
 def sibson_mi(jxy: Joint2, a) -> MiReport:
     """Sibson mutual information of order a for a two-way joint.
 
@@ -103,39 +109,22 @@ def sibson_mi(jxy: Joint2, a) -> MiReport:
     (a/(a-1)) log sum_y (sum_x P_X(x) P(y|x)^a)^(1/a),
     whose minimiser over output pmfs is Q(y) prop. to the inner sum to
     the power 1/a.  Order one is Shannon MI (minimiser P_Y), the sup
-    order is maximal leakage.
+    order is maximal leakage.  Each is ``cond_sibson_ygz`` at constant Z.
     """
     a = Alpha.coerce(a)
-    p = jxy.probs
-    px = p.sum(axis=1)
+    s = _one_z(jxy)
     if a.is_one:
-        return MiReport(a, shannon_mi(jxy), UNCOND, Pmf(jxy.y_labels, p.sum(axis=0)))
+        return MiReport(a, _cmi(s), UNCOND, Pmf(jxy.y_labels, s.cy[0]))
     if a.is_inf:
-        value, q = _leakage_parts(jxy)
-        return MiReport(a, value, LEAKAGE, Pmf(jxy.y_labels, q))
-    av = a.value
-    sup = px > 0  # unsupported x rows carry no mass and no kernel row
-    log_px = _log(px[sup])
-    log_b = _log_power_sum(_log(p[sup]), log_px[:, None], av, axis=0)
-    value = av / (av - 1.0) * _logsumexp(log_b / av)
-    q = _softmax(log_b / av)
-    return MiReport(a, value, UNCOND, Pmf(jxy.y_labels, q))
-
-
-def _leakage_parts(jxy: Joint2):
-    """The leakage sum's log and the output pmf attaining the sup-order
-    minimum, both from the column maxima of P(y|x) over supported x."""
-    p = jxy.probs
-    px = p.sum(axis=1)
-    sup = px > 0
-    col_max = (p[sup] / px[sup, None]).max(axis=0)
-    total = col_max.sum()
-    return float(np.log(total)), col_max / total
+        value, rows = _leakage_parts(s)
+        return MiReport(a, value, LEAKAGE, Pmf(jxy.y_labels, rows[0]))
+    value, log_b = _ygz_parts(s, a.value)
+    return MiReport(a, value, UNCOND, Pmf(jxy.y_labels, _softmax(log_b)[0]))
 
 
 def maximal_leakage(jxy: Joint2) -> float:
     """log sum_y max over supported x of P(y|x); the sup-order limit."""
-    value, _ = _leakage_parts(jxy)
+    value, _ = _leakage_parts(_one_z(jxy))
     return value
 
 
@@ -271,27 +260,32 @@ def cond_sibson_ygz(j: Joint3, a) -> MiReport:
         opt = Kernel(j.z_labels, j.y_labels, s.cy, s.reach)
         return MiReport(a, conditional_mi(j), COND_YGZ, opt)
     if a.is_inf:
-        value, rows = _cond_leakage_parts(j)
+        value, rows = _leakage_parts(s)
         opt = Kernel(j.z_labels, j.y_labels, rows, s.reach)
         return MiReport(a, value, COND_LEAKAGE, opt)
-    av = a.value
-    log_b = s.per_z(
-        lambda b: _log_power_sum(_log(s.cxy_block(b)), s.lcx[b, :, None], av, axis=1)
-    )
-    log_b /= av
-    l_z = av * _logsumexp(log_b, axis=1)
-    value = _logsumexp(s.lpz + l_z) / (av - 1.0)
+    value, log_b = _ygz_parts(s, a.value)
     rows = np.zeros(log_b.shape)
     rows[s.reach] = _softmax(log_b[s.reach])
     opt = Kernel(j.z_labels, j.y_labels, rows, s.reach)
     return MiReport(a, value, COND_YGZ, opt)
 
 
-def _cond_leakage_parts(j: Joint3):
-    """Per-z leakage sums and the rows attaining the sup-order minimum;
-    priced once per joint and kept, rows read-only, on its structure
-    given z."""
-    s = j._z_structure()
+def _ygz_parts(s: _GivenZ, av: float) -> tuple[float, np.ndarray]:
+    """The finite-order closed form of ``cond_sibson_ygz`` on the
+    structure ``s``: the value, and the (z, y) logits of the row
+    minimisers (-inf rows for an unreachable z)."""
+    log_b = s.per_z(
+        lambda b: _log_power_sum(_log(s.cxy_block(b)), s.lcx[b, :, None], av, axis=1)
+    )
+    log_b /= av
+    l_z = av * _logsumexp(log_b, axis=1)
+    return _logsumexp(s.lpz + l_z) / (av - 1.0), log_b
+
+
+def _leakage_parts(s: _GivenZ):
+    """The largest per-z log leakage sum and the rows attaining the
+    sup-order minimum of the structure ``s``; priced once and kept, rows
+    read-only, on it."""
     if s.leakage is None:
 
         def col_max(b):
@@ -314,7 +308,7 @@ def cond_maximal_leakage(j: Joint3) -> float:
 
     The sup-order limit of the kernel-minimised conditional measure.
     """
-    value, _ = _cond_leakage_parts(j)
+    value, _ = _leakage_parts(j._z_structure())
     return value
 
 

@@ -462,6 +462,16 @@ class TestAbsolutelyContinuous:
         with pytest.raises(ShapeMismatchError):
             absolutely_continuous(ref, np.ones(4) / 4)
 
+    def test_labels_must_match(self, ref):
+        # read by position, a z-relabelled q used to pass as dominating
+        relabelled = Joint3(ref.x_labels, ref.y_labels, ("1", "0"), ref.probs)
+        message = "^labelled inputs live on different alphabets"
+        with pytest.raises(ShapeMismatchError, match=message):
+            absolutely_continuous(ref, relabelled)
+        with pytest.raises(ShapeMismatchError, match=message):
+            absolutely_continuous(Pmf(("a", "b"), [1.0, 0.0]), Pmf(("b", "a"), [0.0, 1.0]))
+        assert absolutely_continuous(ref, relabelled.probs)
+
 
 class TestEventSlices:
     def test_full_mask_slice(self, ref):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sibsonmi.core import Alpha
+from sibsonmi.core import Alpha, Joint2, Pmf
 from sibsonmi.divergences import (
     _clamp,
     _exp,
@@ -116,6 +116,24 @@ class TestRenyi:
     def test_shape_error(self):
         with pytest.raises(ShapeMismatchError):
             renyi_divergence(BERN_HALF, np.ones(3) / 3, 2)
+
+    def test_labelled_measures_pair_by_symbol(self):
+        # positions used to be paired whatever the labels, so one law listed
+        # in two orders read as D = 0 at every order
+        p, q = Pmf(("a", "b"), [0.9, 0.1]), Pmf(("b", "a"), [0.9, 0.1])
+        calls = (lambda: renyi_divergence(p, q, 2), lambda: kl_divergence(p, q),
+                 lambda: hellinger_integral(p, q, 2), lambda: renyi_limit_check(p, q, [1e-3]))
+        for call in calls:
+            with pytest.raises(ShapeMismatchError, match=r"^labelled inputs live on "
+                               r"different alphabets: \(\('a', 'b'\),\) vs \(\('b', 'a'\),\)$"):
+                call()
+        jxy = Joint2(("0", "1"), ("0", "1"), [[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(ShapeMismatchError):
+            renyi_divergence(jxy, Joint2(("0", "1"), ("1", "0"), jxy.probs), 2)
+        # the same law listed on p's alphabet, or as a bare array, pairs
+        want = math.log(0.81 / 0.1 + 0.01 / 0.9)
+        assert renyi_divergence(p, Pmf(("a", "b"), [0.1, 0.9]), 2) == pytest.approx(want, rel=1e-15)
+        assert renyi_divergence(p, q.probs[::-1], 2) == pytest.approx(want, rel=1e-15)
 
     def test_large_order_stable(self):
         p = np.array([0.9, 0.05, 0.05])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sibsonmi.core import Alpha, Joint3
+from sibsonmi.core import Alpha, Joint3, Pmf
 from sibsonmi.errors import (
     InequalityViolation,
     ResourceLimitError,
@@ -322,6 +322,19 @@ class TestMonteCarlo:
         with pytest.raises(error) as info:
             monte_carlo_errors(ref, t, [[0.5, 0.5], qz], 100, seed=0)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("labels", [("1", "0"), ("a", "b")], ids=["reordered", "foreign"])
+    def test_labelled_qz_must_carry_the_z_labels(self, ref, labels):
+        # a labelled Q_Z used to be read by position: ("1", "0") with
+        # (0.1, 0.9) was priced as Q_Z(z="0") = 0.1
+        t = threshold_test(ref, 0.5, 3)
+        message = f"labelled inputs live on different alphabets: ({labels!r},) vs (('0', '1'),)"
+        with pytest.raises(ShapeMismatchError) as info:
+            monte_carlo_errors(ref, t, [Pmf(labels, [0.1, 0.9])], 100, seed=0)
+        assert str(info.value) == message
+        on_z = monte_carlo_errors(ref, t, [Pmf(ref.z_labels, [0.9, 0.1])], 2000, seed=0)
+        bare = monte_carlo_errors(ref, t, [np.array([0.9, 0.1])], 2000, seed=0)
+        assert on_z.qz_table == bare.qz_table
 
     def test_qz_on_an_unreachable_z_is_rejected(self):
         probs = np.zeros((2, 2, 2))

@@ -88,8 +88,14 @@ class TestSibsonMi:
                 assert abs(renyi_divergence(j, m, a) - rep.value_nats) <= 1e-8
 
     def test_oracle_agreement(self, rng):
-        for _ in range(10):
-            j = random_joint2(rng, 2, 2)
+        joints = [random_joint2(rng, 2, 2) for _ in range(10)]
+        # a zero X row and a zero Y column: the grid oracle is the one check
+        # of the closed form's support handling that shares none of its code
+        for shape, zero in (((3, 2), np.s_[1, :]), ((2, 3), np.s_[:, 2])):
+            p = rng.dirichlet(np.ones(6)).reshape(shape)
+            p[zero] = 0.0
+            joints.append(Joint2(range(shape[0]), range(shape[1]), p / p.sum()))
+        for j in joints:
             for a in (0.5, 1.5, 2.0, 4.0):
                 val, _ = sibson_mi_oracle(j, a)
                 assert abs(val - sibson_mi(j, a).value_nats) <= 1e-5
@@ -450,13 +456,17 @@ class TestCondSibsonYgz:
         assert abs(val - I2YGZ_REF) <= 1e-6
 
     def test_z_constant_recovers_unconditional(self, rng):
+        # the unconditional measures are the constant-Z case of the
+        # conditional ones, computed as such: equal to the bit, optimisers too
         for _ in range(10):
             jxy = random_joint2(rng, 3, 3)
             zc = z_constant_joint(jxy)
-            for a in (0.5, 2.0, 4.0):
-                got = cond_sibson_ygz(zc, a).value_nats
-                want = sibson_mi(jxy, a).value_nats
-                assert abs(got - want) <= 1e-9
+            for a in (0.5, 2.0, 4.0, Alpha.ONE, Alpha.INFINITY):
+                rep, cond = sibson_mi(jxy, a), cond_sibson_ygz(zc, a)
+                assert rep.value_nats == cond.value_nats
+                assert rep.optimizer.probs.tobytes() == cond.optimizer.rows[0].tobytes()
+            assert shannon_mi(jxy) == conditional_mi(zc)
+            assert maximal_leakage(jxy) == cond_maximal_leakage(zc)
 
     def test_asymmetry_witness(self):
         j = asymmetric_joint()
